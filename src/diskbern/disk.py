@@ -61,6 +61,8 @@ class Quadrant(enum.Enum):
 
 
 def check_disk_point(x: float, y: float, tol: float = 1e-9):
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point ({x}, {y}) is not finite")
     if x * x + y * y > 1.0 + tol:
         raise ValueError(f"point ({x}, {y}) outside the unit disk")
 
@@ -184,9 +186,10 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     """
     table = np.zeros((n + 1, n + 1))
     roots = np.sqrt(np.arange(n + 1) / n)
+    sx, sy = q.value
     for k in range(n + 1):
         for j in range(n - k + 1):
-            table[k, j] = f(q.sx * roots[k], q.sy * roots[j])
+            table[k, j] = f(sx * roots[k], sy * roots[j])
     return table
 
 
@@ -337,7 +340,11 @@ def axis_continuity_check(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    op = {"stancu": quadrant_stancu, "bernstein-type": quadrant_bernstein_type}[which]
+    if which not in ("stancu", "bernstein-type"):
+        raise KeyError(which)
+    # Both constructions evaluate the same closed form, so each quadrant's
+    # node table is built once and shared by every axis point.
+    tables = {q: quadrant_node_table(f, n, q) for q in Quadrant}
     rs = np.linspace(0.0, 1.0, samples + 1)[1:] if samples > 1 else np.array([1.0])
     rs = np.concatenate(([0.0], rs))
     worst = 0.0
@@ -347,22 +354,6 @@ def axis_continuity_check(
                 pt = (math.copysign(r, 1 if axis == "x+" else -1), 0.0)
             else:
                 pt = (0.0, math.copysign(r, 1 if axis == "y+" else -1))
-            worst = max(worst, abs(op(f, qa, n, *pt) - op(f, qb, n, *pt)))
+            worst = max(worst, abs(_closed_form_value(tables[qa], n, *pt)
+                                   - _closed_form_value(tables[qb], n, *pt)))
     return worst
-
-
-def lifted_square_field(
-    f: Callable[[float, float], float], kind: str
-) -> Callable[[float, float], float]:
-    """The unit-square pullback F(u, v) for each transformed domain; used to
-    check the transformation identities against the unit-square operator.
-    kind: "square", "simplex", "ball", or a Quadrant name.
-    """
-    if kind == "square":
-        return lambda u, v: f(2 * u - 1, 2 * v - 1)
-    if kind == "simplex":
-        return lambda u, v: f(u, v * (1 - u))
-    if kind == "ball":
-        return lambda u, v: f(2 * u - 1, (2 * v - 1) * math.sqrt(max(1 - (2 * u - 1) ** 2, 0.0)))
-    q = Quadrant[kind]
-    return lambda u, v: f(q.sx * math.sqrt(u), q.sy * math.sqrt(v * (1 - u)))

@@ -1,7 +1,8 @@
 """Disk meshes, RMSE statistics, the built-in test functions, and
-cross-section extraction. Batch operator evaluation is vectorized over
-mesh points, chunked so it can run on a thread pool; the final reduction
-order is fixed, so results are identical for any thread count.
+cross-section extraction. Batch operator evaluation computes basis rows
+once per distinct collapsed coordinate and gathers them back to the
+points, in fixed groups that can run on a thread pool; results are
+identical for any thread count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .disk import Quadrant
+from .disk import Quadrant, quadrant_node_table
 from .univariate import basis_rows
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
 _EPS = 1e-12
 
 DEFAULT_N_LIST = (10, 20, 30, 40, 50, 60, 70, 80)
+
+_QUADRANTS = (Quadrant.B1, Quadrant.B2, Quadrant.B3, Quadrant.B4)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +135,11 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
     pts: list[tuple[float, float]] = []
     labels: list[tuple] = []
     seen: set[tuple[float, float]] = set()
-    for q in (Quadrant.B1, Quadrant.B2, Quadrant.B3, Quadrant.B4):
+    for q in _QUADRANTS:
+        sx, sy = q.value
         for k in range(n + 1):
             for j in range(n - k + 1):
-                p = (q.sx * roots[k] + 0.0, q.sy * roots[j] + 0.0)
+                p = (sx * roots[k] + 0.0, sy * roots[j] + 0.0)
                 if dedup:
                     if p in seen:
                         continue
@@ -147,19 +151,64 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
 
 # ---------------------------------------------------------------------------
 # Batch operator evaluation
+#
+# Mesh points repeat their collapsed coordinates (u, t): the quadrant mesh
+# mirrors one quadrant's rows into the other three, and the chord mesh is a
+# tensor grid. Each kernel computes basis rows and node-table contractions
+# once per distinct coordinate of a group of points, then gathers them back
+# to the points. Every point's final sum runs in the same order as a
+# per-point evaluation.
+#
+# A group holds at most _ROWS distinct t and _ROWS distinct u, which bounds
+# its memory. The split depends only on the points, never on the thread
+# count: BLAS rounds a row differently depending on where it sits in the
+# matrix, so a fixed split keeps outputs identical for any thread count.
+
+_ROWS = 512
 
 
-def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
-             threads: int | None, chunk: int = 4096) -> np.ndarray:
-    if len(pts) == 0:
-        return np.zeros(0)
-    blocks = [pts[i : i + chunk] for i in range(0, len(pts), chunk)]
-    if threads is None or threads <= 1 or len(blocks) == 1:
-        parts = [evaluate(b) for b in blocks]
+@dataclass(frozen=True)
+class _Group:
+    points: np.ndarray  # indices of the group's points
+    u: np.ndarray       # distinct u values of the group
+    ui: np.ndarray      # per point, its row in u
+    t: np.ndarray       # distinct t values of the group
+    ti: np.ndarray      # per point, its row in t
+
+
+def _groups(u: np.ndarray, t: np.ndarray) -> list[_Group]:
+    """Points split into consecutive spans of _ROWS distinct t values, each
+    span split further so that no group has more than _ROWS distinct u."""
+    span = np.unique(t, return_inverse=True)[1] // _ROWS
+    order = np.lexsort((u, span))
+    span, su = span[order], u[order]
+    new_span = np.r_[True, span[1:] != span[:-1]]
+    new_u = new_span | np.r_[True, su[1:] != su[:-1]]
+    seen = np.cumsum(new_u)
+    rank = seen - seen[new_span][np.cumsum(new_span) - 1]  # distinct u before, in the span
+    cut = new_span | np.r_[True, rank[1:] // _ROWS != rank[:-1] // _ROWS]
+    bounds = np.r_[np.nonzero(cut)[0], len(order)]
+    groups = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        p = order[a:b]
+        gu, gui = np.unique(u[p], return_inverse=True)
+        gt, gti = np.unique(t[p], return_inverse=True)
+        groups.append(_Group(p, gu, gui, gt, gti))
+    return groups
+
+
+def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Group],
+                     count: int, threads: int | None) -> np.ndarray:
+    """Values of every group, on a thread pool when threads > 1, in point order."""
+    if threads is None or threads <= 1:
+        parts = [evaluate(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(evaluate, blocks))
-    return np.concatenate(parts)
+            parts = list(pool.map(evaluate, groups))
+    out = np.empty(count)
+    for g, values in zip(groups, parts):
+        out[g.points] = values
+    return out
 
 
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
@@ -173,30 +222,23 @@ def _chord_disk_batch(f: Callable[[float, float], float], n: int,
         for j in range(n + 1):
             fnode[k, j] = f(xk[k], jfrac[j] * yscale[k])
 
-    def evaluate(block: np.ndarray) -> np.ndarray:
-        x = np.clip(block[:, 0], -1.0, 1.0)
-        y = block[:, 1]
-        u = (x + 1.0) / 2.0
-        half = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-        t = np.where(half > _EPS, (np.divide(y, np.where(half > _EPS, half, 1.0)) + 1.0) / 2.0, 0.5)
-        t = np.clip(t, 0.0, 1.0)
-        pu = basis_rows(n, u)
-        pt = basis_rows(n, t)
-        return np.einsum("pk,pk->p", pu @ fnode, pt)
+    x = np.clip(pts[:, 0], -1.0, 1.0)
+    y = pts[:, 1]
+    u = (x + 1.0) / 2.0
+    half = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    t = np.where(half > _EPS, (np.divide(y, np.where(half > _EPS, half, 1.0)) + 1.0) / 2.0, 0.5)
+    t = np.clip(t, 0.0, 1.0)
 
-    return _chunked(evaluate, pts, threads)
+    def evaluate(g: _Group) -> np.ndarray:
+        gu = basis_rows(n, g.u) @ fnode
+        pt = basis_rows(n, g.t)
+        values = np.empty(g.points.size)
+        for a in range(0, values.size, _ROWS):  # bounds the gathered rows
+            s = slice(a, a + _ROWS)
+            values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
+        return values
 
-
-def _quadrant_tables(f: Callable[[float, float], float], n: int) -> dict[str, np.ndarray]:
-    roots = np.sqrt(np.arange(n + 1) / n)
-    tables = {}
-    for q in Quadrant:
-        tab = np.zeros((n + 1, n + 1))
-        for k in range(n + 1):
-            for j in range(n - k + 1):
-                tab[k, j] = f(q.sx * roots[k], q.sy * roots[j])
-        tables[q.name] = tab
-    return tables
+    return _evaluate_groups(evaluate, _groups(u, t), len(pts), threads)
 
 
 def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
@@ -204,36 +246,38 @@ def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
     """Piecewise quadrant-polynomial values at many points, dispatching each
     point to its quadrant (ties toward B1 > B2 > B3 > B4).
     """
-    tables = _quadrant_tables(f, n)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    u = np.clip(x * x, 0.0, 1.0)
+    rest = 1.0 - u
+    t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    # same tie-break as the scalar dispatch: first of B1 > B2 > B3 > B4
+    quad = np.full(len(pts), 3)
+    quad[(x <= 0) & (y < 0)] = 2
+    quad[(x < 0) & (y >= 0)] = 1
+    quad[(x >= 0) & (y >= 0)] = 0
+    tables = [quadrant_node_table(f, n, q) if np.any(quad == i) else None
+              for i, q in enumerate(_QUADRANTS)]
 
-    def evaluate(block: np.ndarray) -> np.ndarray:
-        x = block[:, 0]
-        y = block[:, 1]
-        u = np.clip(x * x, 0.0, 1.0)
-        rest = 1.0 - u
-        t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        pu = basis_rows(n, u)
-        out = np.zeros(len(block))
-        # same tie-break as the scalar dispatch: first of B1 > B2 > B3 > B4
-        names = np.empty(len(block), dtype="<U2")
-        names[:] = "B4"
-        names[(x <= 0) & (y < 0)] = "B3"
-        names[(x < 0) & (y >= 0)] = "B2"
-        names[(x >= 0) & (y >= 0)] = "B1"
-        for name in ("B1", "B2", "B3", "B4"):
-            idx = np.nonzero(names == name)[0]
-            if idx.size == 0:
-                continue
-            tab = tables[name]
-            ts = t[idx]
-            acc = np.zeros(idx.size)
-            for k in range(n + 1):
-                acc += pu[idx, k] * (basis_rows(n - k, ts) @ tab[k, : n - k + 1])
-            out[idx] = acc
-        return out
+    def evaluate(g: _Group) -> np.ndarray:
+        pu = basis_rows(n, g.u).T.copy()
+        gq = quad[g.points]
+        members = []  # per quadrant: node table, point positions, u and t rows, sums
+        for i, tab in enumerate(tables):
+            sel = np.nonzero(gq == i)[0]
+            if sel.size:
+                members.append((tab, sel, g.ui[sel], g.ti[sel], np.zeros(sel.size)))
+        for k in range(n + 1):
+            rows = basis_rows(n - k, g.t)
+            for tab, _, ui, ti, acc in members:
+                acc += pu[k, ui] * (rows @ tab[k, : n - k + 1])[ti]
+        values = np.empty(g.points.size)
+        for _, sel, _, _, acc in members:
+            values[sel] = acc
+        return values
 
-    return _chunked(evaluate, pts, threads)
+    return _evaluate_groups(evaluate, _groups(u, t), len(pts), threads)
 
 
 @dataclass(frozen=True)
@@ -245,9 +289,14 @@ class DiskOperator:
 
     def __call__(self, f, pts: np.ndarray, threads: int | None = None) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise ValueError(f"mesh point index {bad} is not finite")
         if np.any(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + 1e-9):
             bad = int(np.argmax(pts[:, 0] ** 2 + pts[:, 1] ** 2))
             raise ValueError(f"mesh point index {bad} outside the unit disk")
+        if len(pts) == 0:
+            return np.zeros(0)
         if self.kind in ("Cbar", "Bbar"):
             return _piecewise_disk_batch(f, self.n, pts, threads)
         if self.kind == "Bstancu":

@@ -47,6 +47,16 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("point", ["nan,0", "0,inf", "-inf,0"])
+    def test_non_finite_point_exits_2(self, point, capsys):
+        code, out, err = run(
+            ["eval", "--op", "Cbar", "--fn", "example1", "--n", "5", f"--point={point}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
     def test_bad_subcommand_usage(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code != 0

@@ -228,6 +228,13 @@ class TestPiecewise:
         with pytest.raises(ValueError):
             piecewise_stancu_disk(lambda a, b: 1.0, 3, 0.9, 0.9)
 
+    @pytest.mark.parametrize("pt", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_point_raises(self, pt):
+        with pytest.raises(ValueError, match="not finite"):
+            piecewise_stancu_disk(lambda a, b: 1.0, 3, *pt)
+        with pytest.raises(ValueError, match="not finite"):
+            ball_stancu(lambda a, b: 1.0, 3, NodeSchedule.constant(3), *pt)
+
     def test_origin_and_axes_well_defined(self):
         f = lambda x, y: math.cos(x + y)
         for pt in ((0.0, 0.0), (0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)):

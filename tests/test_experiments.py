@@ -120,6 +120,12 @@ class TestBatchEvaluation:
         with pytest.raises(ValueError):
             ex.disk_operator("Cbar", 4)(ex.builtin(1), [(0.9, 0.9)])
 
+    @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_point_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="index 1 is not finite"):
+            ex.disk_operator(kind, 4)(ex.builtin(1), [(0.1, 0.2), bad])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ex.disk_operator("nope", 4)
