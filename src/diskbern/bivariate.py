@@ -186,7 +186,7 @@ def _node_values(
         nk = int(counts[k])
         wk = dom.width(xk)
         ys = wk * np.arange(nk + 1) / nk + dom.phi1(xk)
-        rows.append(np.array([f(xk, y) for y in ys]))
+        rows.append(np.array([f(xk, y) for y in ys.tolist()]))
     return rows
 
 

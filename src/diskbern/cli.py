@@ -35,6 +35,16 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {value}")
+    return value
+
+
 def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -116,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diskbern",
         description="Bernstein-type approximation on the unit disk",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
+    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
                         help="parallel mesh sweep width (output-invariant)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -147,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment", type=_parse_segment,
                    default=((-1.0, 0.0), (1.0, 0.0)),
                    help="x0,y0,x1,y1 (default: x-axis diameter)")
-    p.add_argument("--samples", type=int, default=801)
+    p.add_argument("--samples", type=_positive_int, default=801)
     p.add_argument("--out")
     p.set_defaults(func=cmd_section)
 

@@ -11,6 +11,7 @@ quadrant including the rim and the axes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -67,6 +68,13 @@ def check_disk_point(x: float, y: float, tol: float = 1e-9):
         raise ValueError(f"point ({x}, {y}) outside the unit disk")
 
 
+def _inner_rows(t: float) -> Callable[[int], np.ndarray]:
+    """basis_row(nk, t) by inner degree, each computed once per call of an
+    operator: a constant schedule asks for the same row at every k.
+    """
+    return functools.cache(lambda nk: basis_row(nk, t))
+
+
 def square_bernstein(
     f: Callable[[float, float], float],
     n: int,
@@ -80,13 +88,14 @@ def square_bernstein(
     counts = sched.counts(n)
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
+    inner_row = _inner_rows(ty)
     total = 0.0
     for k in range(n + 1):
         if px[k] == 0.0:
             continue
         nk = int(counts[k])
         fvals = np.array([f((2 * k - n) / n, (2 * j - nk) / nk) for j in range(nk + 1)])
-        total += px[k] * float(basis_row(nk, ty) @ fvals)
+        total += px[k] * float(inner_row(nk) @ fvals)
     return total
 
 
@@ -113,13 +122,14 @@ def simplex_bernstein(
     px = basis_row(n, min(x, 1.0))
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
     t = min(max(t, 0.0), 1.0)
+    inner_row = _inner_rows(t)
     total = 0.0
     for k in range(n + 1):
         if px[k] == 0.0:
             continue
         nk = int(counts[k])
         fvals = np.array([f(k / n, (j / nk) * (1.0 - k / n)) for j in range(nk + 1)])
-        total += px[k] * float(basis_row(nk, t) @ fvals)
+        total += px[k] * float(inner_row(nk) @ fvals)
     return total
 
 
@@ -167,6 +177,7 @@ def ball_stancu(
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
     t = min(max(t, 0.0), 1.0)
+    inner_row = _inner_rows(t)
     total = 0.0
     for k in range(n + 1):
         if px[k] == 0.0:
@@ -176,7 +187,7 @@ def ball_stancu(
         fvals = np.array(
             [f((2 * k - n) / n, (2 * j - nk) / nk * yscale) for j in range(nk + 1)]
         )
-        total += px[k] * float(basis_row(nk, t) @ fvals)
+        total += px[k] * float(inner_row(nk) @ fvals)
     return total
 
 
@@ -185,11 +196,11 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     j <= n - k; returned as a lower-triangular (n+1, n+1) table.
     """
     table = np.zeros((n + 1, n + 1))
-    roots = np.sqrt(np.arange(n + 1) / n)
+    roots = np.sqrt(np.arange(n + 1) / n).tolist()
     sx, sy = q.value
     for k in range(n + 1):
-        for j in range(n - k + 1):
-            table[k, j] = f(sx * roots[k], sy * roots[j])
+        xk = sx * roots[k]
+        table[k, : n - k + 1] = [f(xk, sy * r) for r in roots[: n - k + 1]]
     return table
 
 

@@ -112,15 +112,12 @@ def mesh_stancu_disk(n: int) -> MeshSpec:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = []
-    labels = []
-    for k in range(n + 1):
-        x = (2 * k - n) / n
-        r = 2.0 * math.sqrt(k * (n - k))
-        for j in range(n + 1):
-            pts.append((x, r * (n - 2 * j) / n**2))
-            labels.append((k, j))
-    return MeshSpec("stancu", n, False, np.array(pts), tuple(labels), (n + 1) ** 2)
+    idx = np.arange(n + 1)
+    k, j = np.repeat(idx, n + 1), np.tile(idx, n + 1)
+    r = 2.0 * np.sqrt(k * (n - k))
+    pts = np.column_stack(((2 * k - n) / n, r * (n - 2 * j) / n**2))
+    labels = tuple(zip(k.tolist(), j.tolist()))
+    return MeshSpec("stancu", n, False, pts, labels, (n + 1) ** 2)
 
 
 def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
@@ -131,22 +128,23 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    roots = [math.sqrt(k / n) for k in range(n + 1)]
-    pts: list[tuple[float, float]] = []
-    labels: list[tuple] = []
-    seen: set[tuple[float, float]] = set()
+    roots = np.sqrt(np.arange(n + 1) / n)
+    length = np.arange(n + 1, 0, -1)  # points in row k
+    k = np.repeat(np.arange(n + 1), length)
+    j = np.arange(k.size) - np.repeat(np.cumsum(length) - length, length)
+    # A quadrant's points on an axis repeat those of an earlier quadrant:
+    # B2 shares x = 0 (k = 0) with B1, B3 shares y = 0 (j = 0) with B2,
+    # and B4 shares both axes with B1 and B3.
+    keep = {Quadrant.B1: k >= 0, Quadrant.B2: k > 0, Quadrant.B3: j > 0,
+            Quadrant.B4: (k > 0) & (j > 0)}
+    blocks, labels = [], []
     for q in _QUADRANTS:
         sx, sy = q.value
-        for k in range(n + 1):
-            for j in range(n - k + 1):
-                p = (sx * roots[k] + 0.0, sy * roots[j] + 0.0)
-                if dedup:
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                pts.append(p)
-                labels.append((q.name, k, j))
-    return MeshSpec("quadrant", n, dedup, np.array(pts), tuple(labels), 2 * n * (n + 1))
+        qk, qj = (k[keep[q]], j[keep[q]]) if dedup else (k, j)
+        blocks.append(np.column_stack((sx * roots[qk] + 0.0, sy * roots[qj] + 0.0)))
+        labels.extend(zip([q.name] * qk.size, qk.tolist(), qj.tolist()))
+    return MeshSpec("quadrant", n, dedup, np.concatenate(blocks), tuple(labels),
+                    2 * n * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +212,12 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
                       pts: np.ndarray, threads: int | None = None) -> np.ndarray:
     """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points."""
-    xk = (2 * np.arange(n + 1) - n) / n
-    yscale = 2.0 * np.sqrt(np.arange(n + 1) * (n - np.arange(n + 1))) / n
-    jfrac = (2 * np.arange(n + 1) - n) / n
+    idx = np.arange(n + 1)
+    xk = ((2 * idx - n) / n).tolist()
+    yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()
     fnode = np.empty((n + 1, n + 1))
     for k in range(n + 1):
-        for j in range(n + 1):
-            fnode[k, j] = f(xk[k], jfrac[j] * yscale[k])
+        fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
 
     x = np.clip(pts[:, 0], -1.0, 1.0)
     y = pts[:, 1]
@@ -288,7 +285,11 @@ class DiskOperator:
     n: int
 
     def __call__(self, f, pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
+            pts = pts.reshape(-1, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise ValueError(f"mesh point index {bad} is not finite")
@@ -317,6 +318,16 @@ def disk_operator(kind: str, n: int) -> DiskOperator:
 # RMSE
 
 
+def _sample(f: Callable[[float, float], float], pts: np.ndarray) -> np.ndarray:
+    """f at every point, called with Python floats, _ROWS points at a time
+    (one list of the whole mesh would hold a Python float per coordinate).
+    """
+    out = np.empty(len(pts))
+    for a in range(0, len(pts), _ROWS):
+        out[a:a + _ROWS] = list(map(f, *pts[a:a + _ROWS].T.tolist()))
+    return out
+
+
 @dataclass(frozen=True)
 class RmseReport:
     function_id: str
@@ -337,7 +348,7 @@ def rmse(
     denominator: "nominal" divides by the published mesh cardinality;
     "actual" divides by the number of points actually summed.
     """
-    z = np.array([f(x, y) for x, y in mesh.points])
+    z = _sample(f, mesh.points)
     zhat = op(f, mesh.points, threads=threads)
     sq = (z - zhat) ** 2
     denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
@@ -465,6 +476,8 @@ def cross_section(
 
     Returns rows (s, x, y, f, value_n1, value_n2, ...), s in [0, 1].
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     (x0, y0), (x1, y1) = segment
     if x0 == x1 and y0 == y1:
         raise ValueError("degenerate segment")
@@ -473,10 +486,6 @@ def cross_section(
             raise ValueError("segment endpoint outside the disk")
     s = np.linspace(0.0, 1.0, samples)
     pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
-    cols = [disk_operator(op_kind, n)(f, pts, threads=threads) for n in n_list]
-    fvals = np.array([f(x, y) for x, y in pts])
-    rows = []
-    for i in range(samples):
-        rows.append((float(s[i]), float(pts[i, 0]), float(pts[i, 1]), float(fvals[i]),
-                     *(float(c[i]) for c in cols)))
-    return rows
+    cols = [disk_operator(op_kind, n)(f, pts, threads=threads).tolist() for n in n_list]
+    fvals = _sample(f, pts).tolist()
+    return list(zip(s.tolist(), pts[:, 0].tolist(), pts[:, 1].tolist(), fvals, *cols))

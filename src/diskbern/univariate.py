@@ -118,16 +118,28 @@ def basis_rows(n: int, xs: np.ndarray) -> np.ndarray:
     if np.any(xs < -_EPS) or np.any(xs > 1.0 + _EPS):
         raise ValueError("arguments outside [0, 1]")
     xs = np.clip(xs, 0.0, 1.0)
-    out = np.zeros((xs.size, n + 1))
-    k = np.arange(n + 1)
-    logc = _log_binomial(n, k)
     interior = (xs > 0.0) & (xs < 1.0)
+    if interior.all():
+        return _interior_rows(n, xs)
+    out = np.zeros((xs.size, n + 1))
     if np.any(interior):
-        xi = xs[interior, None]
-        out[interior] = np.exp(logc + k * np.log(xi) + (n - k) * np.log1p(-xi))
+        out[interior] = _interior_rows(n, xs[interior])
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, n] = 1.0
     return out
+
+
+def _interior_rows(n: int, xs: np.ndarray) -> np.ndarray:
+    """exp(logC(n, k) + k log x + (n - k) log(1 - x)) for 0 < x < 1, built in
+    one buffer; each element sees the same adds and multiplies as the
+    expression written out.
+    """
+    k = np.arange(n + 1)
+    xi = xs[:, None]
+    rows = k * np.log(xi)
+    rows += _log_binomial(n, k)
+    rows += (n - k) * np.log1p(-xi)
+    return np.exp(rows, out=rows)
 
 
 def basis_shifted(n: int, k: int, x: float, iv: Interval) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and error handling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,52 @@ class TestTable:
             ["--threads", "5", "table", "--example", "2", "--n", "6,9", "--out", str(b)], capsys
         )[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_section_byte_identical_across_thread_counts(self, tmp_path, capsys):
+        for op, fn in (("Cbar", "example4"), ("Bstancu-disk", "example1")):
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{op}_{threads}.csv"
+                assert run(["--threads", threads, "section", "--op", op, "--fn", fn,
+                            "--n", "5,23", "--segment", "0.1,-0.9,-0.6,0.5",
+                            "--samples", "1200", "--out", str(out)], capsys)[0] == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+
+    # sha256 of the CSVs written by the loop-built meshes; a mesh builder
+    # that reorders, re-signs or drops a point changes them.
+    MESH_SHA256 = {
+        ("quadrant", "17", True): "8db98146402d0dcabbec918847578fdb9459bd925c68c8ae537dd1c1cb587c3d",
+        ("quadrant", "17", False): "f72d3f7b179ef446c0e1d7b9c9b3aa45b4f010286478bd7929d49c84e7edc33d",
+        ("stancu", "9", False): "c548566ccd97c8ffee5205c7fc7e9f7e41139c62ee06399d15ffffc305ca83fd",
+    }
+
+    @pytest.mark.parametrize("kind, n, dedup", sorted(MESH_SHA256))
+    def test_mesh_csv_bytes_are_pinned(self, kind, n, dedup, tmp_path, capsys):
+        out = tmp_path / "mesh.csv"
+        argv = ["mesh", "--kind", kind, "--n", n, "--out", str(out)] + (["--dedup"] if dedup else [])
+        assert run(argv, capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MESH_SHA256[kind, n, dedup]
+
+
+class TestCounts:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_exit_2(self, threads, tmp_path, capsys):
+        out = tmp_path / "mesh.csv"
+        code, _, err = run([f"--threads={threads}", "mesh", "--kind", "stancu", "--n", "2",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "--threads" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_non_positive_samples_exit_2(self, samples, tmp_path, capsys):
+        out = tmp_path / "section.csv"
+        code, _, err = run(["section", "--op", "Cbar", "--fn", "example1", "--n", "3",
+                            f"--samples={samples}", "--out", str(out)], capsys)
+        assert code == 2
+        assert "--samples" in err
+        assert not out.exists()
 
 
 class TestSection:

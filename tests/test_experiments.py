@@ -126,6 +126,22 @@ class TestBatchEvaluation:
         with pytest.raises(ValueError, match="index 1 is not finite"):
             ex.disk_operator(kind, 4)(ex.builtin(1), [(0.1, 0.2), bad])
 
+    @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))])
+    def test_empty_input_gives_empty_output(self, kind, empty):
+        values = ex.disk_operator(kind, 4)(ex.builtin(1), empty)
+        assert values.shape == (0,)
+
+    def test_single_pair_is_one_point(self):
+        op = ex.disk_operator("Cbar", 4)
+        assert np.array_equal(op(ex.builtin(1), (0.3, 0.1)), op(ex.builtin(1), [(0.3, 0.1)]))
+
+    @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2))])
+    def test_wrong_shape_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="shape"):
+            ex.disk_operator(kind, 4)(ex.builtin(1), bad)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ex.disk_operator("nope", 4)
@@ -176,6 +192,11 @@ class TestCrossSection:
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
             ex.cross_section("Cbar", ex.builtin(1), [4], segment=((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_non_positive_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            ex.cross_section("Cbar", ex.builtin(1), [4], samples=samples)
 
     def test_segment_outside_disk_rejected(self):
         with pytest.raises(ValueError):
