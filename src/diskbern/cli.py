@@ -67,10 +67,14 @@ def _out_path(name: str, out: str | None) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, ".")) / name
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """One line per row, floats as _fmt writes them and anything else as
+    str; every row has the types of the first one.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    if rows:
+        template = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines += [template % row for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -96,13 +100,11 @@ def cmd_mesh(args) -> int:
     if args.kind == "stancu":
         mesh = ex.mesh_stancu_disk(args.n)
         header = ["x", "y", "k", "j"]
-        rows = [(float(x), float(y), k, j)
-                for (x, y), (k, j) in zip(mesh.points, mesh.labels)]
     else:
         mesh = ex.mesh_quadrant_disk(args.n, dedup=args.dedup)
         header = ["x", "y", "quadrant", "k", "j"]
-        rows = [(float(x), float(y), q, k, j)
-                for (x, y), (q, k, j) in zip(mesh.points, mesh.labels)]
+    xs, ys = mesh.points.T.tolist()
+    rows = [(x, y, *label) for x, y, label in zip(xs, ys, mesh.labels)]
     path = _out_path(f"mesh_{args.kind}_{args.n}.csv", args.out)
     _write_csv(path, header, rows)
     print(path)

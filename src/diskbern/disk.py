@@ -16,14 +16,14 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bivariate import NodeSchedule
-from .univariate import Interval, basis_row
+from .univariate import Interval, basis_row, log_factorials
 
 __all__ = [
     "Quadrant",
     "check_disk_point",
+    "check_f_values",
     "square_bernstein",
     "simplex_bernstein",
     "ball_stancu",
@@ -66,6 +66,16 @@ def check_disk_point(x: float, y: float, tol: float = 1e-9):
         raise ValueError(f"point ({x}, {y}) is not finite")
     if x * x + y * y > 1.0 + tol:
         raise ValueError(f"point ({x}, {y}) outside the unit disk")
+
+
+def check_f_values(values: np.ndarray, point_at: Callable[[int], tuple[float, float]]):
+    """Raise ValueError if f returned NaN or inf anywhere in values; point_at
+    maps the flat index of the first such value to the point f was called at.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"f{point_at(i)} = {values.flat[i]} is not finite")
 
 
 def _inner_rows(t: float) -> Callable[[int], np.ndarray]:
@@ -138,7 +148,7 @@ def _simplex_multinomial(f: Callable[[float, float], float], n: int, x: float, y
     triangle; log-space coefficients, zero factors skipped by index.
     """
     w = max(1.0 - x - y, 0.0)
-    lg = gammaln(np.arange(n + 1) + 1.0)  # lg[i] = log(i!)
+    lg = log_factorials(n)
     total = 0.0
     for k in range(n + 1):
         if x == 0.0 and k > 0:
@@ -201,6 +211,7 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     for k in range(n + 1):
         xk = sx * roots[k]
         table[k, : n - k + 1] = [f(xk, sy * r) for r in roots[: n - k + 1]]
+    check_f_values(table, lambda i: (sx * roots[i // (n + 1)], sy * roots[i % (n + 1)]))
     return table
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .disk import Quadrant, quadrant_node_table
+from .disk import Quadrant, check_f_values, quadrant_node_table
 from .univariate import basis_rows
 
 __all__ = [
@@ -218,6 +218,7 @@ def _chord_disk_batch(f: Callable[[float, float], float], n: int,
     fnode = np.empty((n + 1, n + 1))
     for k in range(n + 1):
         fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
+    check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
 
     x = np.clip(pts[:, 0], -1.0, 1.0)
     y = pts[:, 1]
@@ -321,10 +322,13 @@ def disk_operator(kind: str, n: int) -> DiskOperator:
 def _sample(f: Callable[[float, float], float], pts: np.ndarray) -> np.ndarray:
     """f at every point, called with Python floats, _ROWS points at a time
     (one list of the whole mesh would hold a Python float per coordinate).
+    A NaN or inf value raises ValueError.
     """
     out = np.empty(len(pts))
     for a in range(0, len(pts), _ROWS):
-        out[a:a + _ROWS] = list(map(f, *pts[a:a + _ROWS].T.tolist()))
+        block = out[a:a + _ROWS]
+        block[:] = list(map(f, *pts[a:a + _ROWS].T.tolist()))
+        check_f_values(block, lambda i: tuple(pts[a + i].tolist()))
     return out
 
 

@@ -7,12 +7,12 @@ without intermediate overflow or underflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Interval",
@@ -30,6 +30,7 @@ __all__ = [
     "bernstein_shifted",
     "c_tau",
     "c_tau_shifted",
+    "log_factorials",
     "validate_transform",
 ]
 
@@ -73,8 +74,61 @@ def _check_unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _log_binomial(n: int, k) -> float:
-    return gammaln(n + 1) - gammaln(np.asarray(k) + 1) - gammaln(n - np.asarray(k) + 1)
+# log Gamma at the positive integers, ported from cephes lgam (the routine
+# behind scipy.special.gammaln) with its operations in its order, so every
+# value is bit-identical to gammaln's.
+
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+
+
+def _lgam(m: int) -> float:
+    """log Gamma(m) = log((m - 1)!) for an integer m >= 1."""
+    if m < 13:  # cephes multiplies out the factorial, exactly at these sizes
+        return math.log(float(math.factorial(m - 1)))
+    x = float(m)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        s = s * p + c
+    return q + s / x
+
+
+_log_factorial_table = np.zeros(1)  # log(0!)
+_log_factorial_table.flags.writeable = False
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0..n, a read-only view of one table shared by every
+    caller. Growing the table swaps in a new array instead of filling the
+    old one, so a concurrent reader only ever sees a complete table; threads
+    that grow it at once may each build one.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= n:
+        size = max(n + 1, 2 * table.size)
+        table = np.concatenate((table, [_lgam(i + 1) for i in range(table.size, size)]))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[: n + 1]
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_binomials(n: int) -> np.ndarray:
+    """Read-only log C(n, k) for k = 0..n."""
+    lf = log_factorials(n)
+    row = lf[n] - lf[: n + 1] - lf[n::-1]
+    row.flags.writeable = False
+    return row
 
 
 def basis_classical(n: int, k: int, x: float) -> float:
@@ -92,7 +146,7 @@ def basis_classical(n: int, k: int, x: float) -> float:
     if x == 1.0:
         return 1.0 if k == n else 0.0
     return float(
-        math.exp(_log_binomial(n, k) + k * math.log(x) + (n - k) * math.log1p(-x))
+        math.exp(_log_binomials(n)[k] + k * math.log(x) + (n - k) * math.log1p(-x))
     )
 
 
@@ -108,7 +162,7 @@ def basis_row(n: int, x: float) -> np.ndarray:
         row[n] = 1.0
     else:
         k = np.arange(n + 1)
-        row[:] = np.exp(_log_binomial(n, k) + k * math.log(x) + (n - k) * math.log1p(-x))
+        row[:] = np.exp(_log_binomials(n) + k * math.log(x) + (n - k) * math.log1p(-x))
     return row
 
 
@@ -137,7 +191,7 @@ def _interior_rows(n: int, xs: np.ndarray) -> np.ndarray:
     k = np.arange(n + 1)
     xi = xs[:, None]
     rows = k * np.log(xi)
-    rows += _log_binomial(n, k)
+    rows += _log_binomials(n)
     rows += (n - k) * np.log1p(-xi)
     return np.exp(rows, out=rows)
 
@@ -175,7 +229,7 @@ def basis_argmax(n: int, k: int, iv: Interval) -> tuple[float, float]:
         value = 1.0
     else:
         value = math.exp(
-            _log_binomial(n, k)
+            _log_binomials(n)[k]
             + k * math.log(k / n)
             + (n - k) * math.log((n - k) / n)
         )

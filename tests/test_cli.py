@@ -58,6 +58,16 @@ class TestEval:
         assert out == ""
         assert "not finite" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_function_exits_2(self, value, capsys):
+        code, out, err = run(
+            ["eval", "--op", "Cbar", "--fn", f"const:{value}", "--n", "5", "--point", "0.1,0.2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
     def test_bad_subcommand_usage(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code != 0
@@ -210,3 +220,13 @@ class TestSection:
         first = rows[0].split(",")
         assert float(first[1]) == pytest.approx(0.0)
         assert float(first[2]) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("op", ["Cbar", "Bstancu-disk"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_function_exits_2(self, op, value, tmp_path, capsys):
+        out_file = tmp_path / "section.csv"
+        code, _, err = run(["section", "--op", op, "--fn", f"const:{value}", "--n", "5",
+                            "--samples", "3", "--out", str(out_file)], capsys)
+        assert code == 2
+        assert "not finite" in err
+        assert not out_file.exists()

@@ -1,6 +1,7 @@
 """Meshes, batch evaluation, RMSE statistics, and reporting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,32 @@ class TestBatchEvaluation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ex.disk_operator("nope", 4)
+
+
+class TestNonFiniteF:
+    @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_node_value_rejected(self, kind, value):
+        # f is finite at the evaluation point but not at the nodes x > 0.5
+        f = lambda x, y: value if x > 0.5 else x * y
+        with pytest.raises(ValueError, match="is not finite"):
+            ex.disk_operator(kind, 6)(f, [(0.1, 0.2)])
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_mesh_sample_rejected(self, value):
+        # one bad point in the second block of samples
+        mesh = ex.mesh_stancu_disk(30)
+        bad = tuple(mesh.points[700].tolist())
+        f = lambda x, y: value if (x, y) == bad else 1.0
+        with pytest.raises(ValueError, match=re.escape(f"f{bad} = {value} is not finite")):
+            ex.rmse(f, ex.disk_operator("Bstancu", 30), mesh)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_section_sample_rejected(self, value):
+        # (1/3, 0) is a sample of the section but no node of the n = 4 operator
+        f = lambda x, y: value if abs(x - 1 / 3) < 1e-9 else 1.0
+        with pytest.raises(ValueError, match="is not finite"):
+            ex.cross_section("Cbar", f, [4], samples=4)
 
 
 class TestRmse:
