@@ -243,19 +243,10 @@ def quadrant_stancu(
     return _closed_form_value(quadrant_node_table(f, n, q), n, x, y)
 
 
-def quadrant_bernstein_type(
-    f: Callable[[float, float], float], q: Quadrant, n: int, x: float, y: float
-) -> float:
-    """Quadrant operator built from per-quadrant monotone transforms of the
-    arguments. After reindexing, its closed form coincides with the
-    quadrant_stancu polynomial; both entry points are kept because the two
-    constructions are checked against each other and against the transform
-    path in the tests.
-    """
-    check_disk_point(x, y)
-    if not q.contains(x, y):
-        raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
-    return _closed_form_value(quadrant_node_table(f, n, q), n, x, y)
+# The quadrant operator built from per-quadrant monotone transforms of the
+# arguments is, after reindexing, the quadrant_stancu polynomial; the
+# transform construction itself is quadrant_bernstein_type_via_transforms.
+quadrant_bernstein_type = quadrant_stancu
 
 
 def _shifted_row(n: int, value: float, lo: float, hi: float) -> np.ndarray:
@@ -334,11 +325,7 @@ def piecewise_stancu_disk(f: Callable[[float, float], float], n: int, x: float, 
     return quadrant_stancu(f, _dispatch_quadrant(x, y), n, x, y)
 
 
-def piecewise_bernstein_type_disk(
-    f: Callable[[float, float], float], n: int, x: float, y: float
-) -> float:
-    check_disk_point(x, y)
-    return quadrant_bernstein_type(f, _dispatch_quadrant(x, y), n, x, y)
+piecewise_bernstein_type_disk = piecewise_stancu_disk
 
 
 _ADJACENT = {

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disk import Quadrant, check_f_values, quadrant_node_table
-from .univariate import basis_rows
+from .univariate import _degree_rows, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -266,8 +266,7 @@ def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
             sel = np.nonzero(gq == i)[0]
             if sel.size:
                 members.append((tab, sel, g.ui[sel], g.ti[sel], np.zeros(sel.size)))
-        for k in range(n + 1):
-            rows = basis_rows(n - k, g.t)
+        for k, rows in enumerate(_degree_rows(n, g.t)):  # rows of degree n - k
             for tab, _, ui, ti, acc in members:
                 acc += pu[k, ui] * (rows @ tab[k, : n - k + 1])[ti]
         values = np.empty(g.points.size)

@@ -166,12 +166,20 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return row
 
 
-def basis_rows(n: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized basis rows: shape (len(xs), n+1); xs must lie in [0, 1]."""
+def _check_unit_array(xs) -> np.ndarray:
+    """xs as a float array clipped to [0, 1]; ValueError if an entry is
+    non-finite or further than _EPS outside."""
     xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("arguments must be finite")
     if np.any(xs < -_EPS) or np.any(xs > 1.0 + _EPS):
         raise ValueError("arguments outside [0, 1]")
-    xs = np.clip(xs, 0.0, 1.0)
+    return np.clip(xs, 0.0, 1.0)
+
+
+def basis_rows(n: int, xs: np.ndarray) -> np.ndarray:
+    """Vectorized basis rows: shape (len(xs), n+1); xs must lie in [0, 1]."""
+    xs = _check_unit_array(xs)
     interior = (xs > 0.0) & (xs < 1.0)
     if interior.all():
         return _interior_rows(n, xs)
@@ -194,6 +202,35 @@ def _interior_rows(n: int, xs: np.ndarray) -> np.ndarray:
     rows += _log_binomials(n)
     rows += (n - k) * np.log1p(-xi)
     return np.exp(rows, out=rows)
+
+
+def _degree_rows(n: int, xs: np.ndarray):
+    """Yield basis_rows(m, xs) for m = n, n-1, ..., 0, with the same bits.
+
+    a[:, k] = k log x and b[:, c] = (n - c) log(1 - x) are built once; degree
+    m adds logC(m, k) to a[:, k] and then b[:, n - m + k] = (m - k) log(1 - x),
+    the same operands in the same order as _interior_rows. Rows at x = 0
+    and x = 1 get 0 and -inf entries in a and b, whose sum exponentiates to
+    exactly the one-hot row. Each yielded array is a contiguous view of one
+    buffer that the next degree overwrites.
+    """
+    xs = _check_unit_array(xs)
+    k = np.arange(n + 1)
+    interior = (xs > 0.0) & (xs < 1.0)
+    xi = np.where(interior, xs, 0.5)[:, None]
+    a = k * np.log(xi)
+    b = k[::-1] * np.log1p(-xi)
+    one_hot = np.full(n + 1, -np.inf)
+    one_hot[0] = 0.0
+    zero, one = xs == 0.0, xs == 1.0
+    a[zero], b[zero] = one_hot, 0.0
+    a[one], b[one] = 0.0, one_hot[::-1]
+    buffer = np.empty(a.size)
+    for m in range(n, -1, -1):
+        rows = buffer[: xs.size * (m + 1)].reshape(xs.size, m + 1)
+        np.add(a[:, : m + 1], _log_binomials(m), out=rows)
+        rows += b[:, n - m:]
+        yield np.exp(rows, out=rows)
 
 
 def basis_shifted(n: int, k: int, x: float, iv: Interval) -> float:
