@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .univariate import Interval, basis_row, bernstein, bernstein_shifted
+from .univariate import Interval, _row_triangle, basis_row, bernstein, bernstein_shifted
 
 __all__ = [
     "CurvilinearDomain",
@@ -111,6 +111,8 @@ class NodeSchedule:
         return cls("k")
 
     def counts(self, n: int) -> np.ndarray:
+        if n < 1:
+            raise ValueError("n must be >= 1")
         k = np.arange(n + 1)
         if self.kind == "constant":
             raw = np.full(n + 1, self.m)
@@ -176,18 +178,46 @@ def _inner_t(dom: CurvilinearDomain, x: float, y: float) -> float:
     return min(max((y - dom.phi1(x)) / w, 0.0), 1.0)
 
 
-def _node_values(
-    f: Callable[[float, float], float], dom: CurvilinearDomain, n: int, counts: np.ndarray
-) -> list[np.ndarray]:
-    """Per-k arrays of f at the operator nodes (x_k, y_{k,j})."""
-    rows = []
-    for k in range(n + 1):
-        xk = dom.x_interval.from_unit(k / n)
-        nk = int(counts[k])
-        wk = dom.width(xk)
-        ys = wk * np.arange(nk + 1) / nk + dom.phi1(xk)
-        rows.append(np.array([f(xk, y) for y in ys.tolist()]))
-    return rows
+def check_f_values(values: np.ndarray, point_at: Callable[[int], tuple[float, float]]):
+    """Raise ValueError if f returned NaN or inf anywhere in values; point_at
+    maps the flat index of the first such value to the point f was called at.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"f{point_at(i)} = {values.flat[i]} is not finite")
+
+
+def _sample_rows(f: Callable[[float, float], float], outer: np.ndarray, counts: np.ndarray,
+                 nodes: Callable) -> np.ndarray:
+    """f at the nodes of the rows k with nonzero outer weight, as a table
+    that is zero elsewhere. nodes(k, j, n_k), given k and n_k as columns and
+    j as a row, returns the node coordinates (x, y); f gets them as Python
+    floats, in order of k, then j.
+    """
+    k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
+    live = (j <= nk) & (outer != 0.0)[:, None]
+    px, py = (np.broadcast_to(c, live.shape)[live].tolist() for c in nodes(k, j, nk))
+    values = np.fromiter(map(f, px, py), float, len(px))
+    check_f_values(values, lambda i: (px[i], py[i]))
+    table = np.zeros(live.shape)
+    table[live] = values
+    return table
+
+
+def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarray) -> float:
+    """sum_k outer[k] * (basis_row(counts[k], t) @ table[k, :counts[k] + 1]),
+    added in order of k over the rows with nonzero outer weight. One
+    _row_triangle, which has basis_row's bits, holds every degree's row.
+    """
+    live = np.flatnonzero(outer)
+    degrees = counts[live].tolist()
+    distinct = sorted(set(degrees))
+    row = {m: r[: m + 1] for m, r in zip(distinct, _row_triangle(distinct, t))}
+    total = 0.0
+    for k, w, m in zip(live.tolist(), outer[live].tolist(), degrees):
+        total += w * float(row[m].dot(table[k, : m + 1]))
+    return total
 
 
 def stancu(
@@ -199,27 +229,19 @@ def stancu(
     y: float,
 ) -> float:
     """Bivariate Bernstein-Stancu operator of f evaluated at (x, y)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    counts = sched.counts(n)
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
-    counts = sched.counts(n)
     outer = basis_row(n, dom.x_interval.to_unit(x))
-    t = _inner_t(dom, x, y)
-    fnodes = _node_values(f, dom, n, counts)
-    total = 0.0
-    for k in range(n + 1):
-        if outer[k] == 0.0:
-            continue
-        inner = float(basis_row(int(counts[k]), t) @ fnodes[k])
-        total += outer[k] * inner
-    return total
+    xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
+    width = np.array([dom.width(v) for v in xk.tolist()])
+    low = np.array([dom.phi1(v) for v in xk.tolist()])
+    table = _sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
+    return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
 
 
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:
     """Node mesh (x_k, y_{k,j}) of the operator; y rows span [phi1, phi2]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     counts = sched.counts(n)
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
     rows = []

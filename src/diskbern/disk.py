@@ -11,13 +11,12 @@ quadrant including the rim and the axes.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .bivariate import NodeSchedule
+from .bivariate import NodeSchedule, _nested_sum, _sample_rows, check_f_values
 from .univariate import Interval, basis_row, log_factorials
 
 __all__ = [
@@ -68,23 +67,6 @@ def check_disk_point(x: float, y: float, tol: float = 1e-9):
         raise ValueError(f"point ({x}, {y}) outside the unit disk")
 
 
-def check_f_values(values: np.ndarray, point_at: Callable[[int], tuple[float, float]]):
-    """Raise ValueError if f returned NaN or inf anywhere in values; point_at
-    maps the flat index of the first such value to the point f was called at.
-    """
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"f{point_at(i)} = {values.flat[i]} is not finite")
-
-
-def _inner_rows(t: float) -> Callable[[int], np.ndarray]:
-    """basis_row(nk, t) by inner degree, each computed once per call of an
-    operator: a constant schedule asks for the same row at every k.
-    """
-    return functools.cache(lambda nk: basis_row(nk, t))
-
-
 def square_bernstein(
     f: Callable[[float, float], float],
     n: int,
@@ -98,15 +80,8 @@ def square_bernstein(
     counts = sched.counts(n)
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
-    inner_row = _inner_rows(ty)
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        nk = int(counts[k])
-        fvals = np.array([f((2 * k - n) / n, (2 * j - nk) / nk) for j in range(nk + 1)])
-        total += px[k] * float(inner_row(nk) @ fvals)
-    return total
+    table = _sample_rows(f, px, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk))
+    return _nested_sum(px, ty, counts, table)
 
 
 def simplex_bernstein(
@@ -124,23 +99,22 @@ def simplex_bernstein(
     """
     if x < -_EPS or y < -_EPS or x + y > 1.0 + 1e-9:
         raise ValueError(f"point ({x}, {y}) outside the simplex")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     x = max(x, 0.0)
     y = max(y, 0.0)
     if sched.kind == "n-minus-k":
-        return _simplex_multinomial(f, n, x, y)
+        def finite(u: float, v: float) -> float:
+            value = f(u, v)
+            if not math.isfinite(value):
+                raise ValueError(f"f{(u, v)} = {value} is not finite")
+            return value
+        return _simplex_multinomial(finite, n, x, y)
     counts = sched.counts(n)
     px = basis_row(n, min(x, 1.0))
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
-    t = min(max(t, 0.0), 1.0)
-    inner_row = _inner_rows(t)
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        nk = int(counts[k])
-        fvals = np.array([f(k / n, (j / nk) * (1.0 - k / n)) for j in range(nk + 1)])
-        total += px[k] * float(inner_row(nk) @ fvals)
-    return total
+    table = _sample_rows(f, px, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)))
+    return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
 
 
 def _simplex_multinomial(f: Callable[[float, float], float], n: int, x: float, y: float) -> float:
@@ -186,25 +160,17 @@ def ball_stancu(
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    t = min(max(t, 0.0), 1.0)
-    inner_row = _inner_rows(t)
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        nk = int(counts[k])
-        yscale = 2.0 * math.sqrt(k * (n - k)) / n
-        fvals = np.array(
-            [f((2 * k - n) / n, (2 * j - nk) / nk * yscale) for j in range(nk + 1)]
-        )
-        total += px[k] * float(inner_row(nk) @ fvals)
-    return total
+    table = _sample_rows(f, px, counts, lambda k, j, nk: (
+        (2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n)))
+    return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
 
 
 def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
     """f sampled at the quadrant operator nodes (sx sqrt(k/n), sy sqrt(j/n)),
     j <= n - k; returned as a lower-triangular (n+1, n+1) table.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     table = np.zeros((n + 1, n + 1))
     roots = np.sqrt(np.arange(n + 1) / n).tolist()
     sx, sy = q.value
@@ -220,15 +186,8 @@ def _closed_form_value(table: np.ndarray, n: int, x: float, y: float) -> float:
     weighted by the node table, computed via nested binomial rows.
     """
     u = min(x * x, 1.0)
-    pu = basis_row(n, u)
     t = (y * y) / (1.0 - u) if 1.0 - u > _EPS else 0.0
-    t = min(max(t, 0.0), 1.0)
-    total = 0.0
-    for k in range(n + 1):
-        if pu[k] == 0.0:
-            continue
-        total += pu[k] * float(basis_row(n - k, t) @ table[k, : n - k + 1])
-    return total
+    return _nested_sum(basis_row(n, u), min(max(t, 0.0), 1.0), n - np.arange(n + 1), table)
 
 
 def quadrant_stancu(

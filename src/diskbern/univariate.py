@@ -166,6 +166,30 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return row
 
 
+def _row_triangle(degrees: np.ndarray, x: float) -> np.ndarray:
+    """basis_row(m, x) for each m in degrees, with the same bits, as the rows
+    of one (len(degrees), max + 1) array that is zero right of column m.
+
+    Entry (m, k) is exp((logC(m, k) + k log x) + (m - k) log(1 - x)), the
+    operands and add order of basis_row, so one exp covers every degree.
+    """
+    x = _check_unit(x)
+    m = np.asarray(degrees)[:, None]
+    k = np.arange(int(m.max()) + 1)
+    if x == 0.0 or x == 1.0:
+        return (k == (m if x == 1.0 else 0 * m)).astype(float)
+    lf = log_factorials(k[-1])
+    d = m - k
+    above = d < 0
+    d[above] = 0
+    logs = lf[m] - lf[k]
+    logs -= lf[d]
+    logs += k * math.log(x)
+    logs += d * math.log1p(-x)
+    logs[above] = -np.inf
+    return np.exp(logs, out=logs)
+
+
 def _check_unit_array(xs) -> np.ndarray:
     """xs as a float array clipped to [0, 1]; ValueError if an entry is
     non-finite or further than _EPS outside."""

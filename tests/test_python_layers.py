@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from diskbern import bivariate as biv
 from diskbern import disk
 from diskbern import experiments as ex
 from diskbern.bivariate import NodeSchedule
@@ -158,12 +159,19 @@ def test_ball_stancu_shared_inner_row_is_bit_identical(n, m):
 
 
 def test_ball_stancu_builds_one_inner_row_per_degree(monkeypatch):
-    degrees = []
+    degrees, inner = [], []
 
     def counting_row(n, x):
         degrees.append(n)
         return basis_row(n, x)
 
+    def counting_triangle(ms, t):
+        inner.append(list(ms))
+        return triangle(ms, t)
+
+    triangle = biv._row_triangle
     monkeypatch.setattr(disk, "basis_row", counting_row)
+    monkeypatch.setattr(biv, "_row_triangle", counting_triangle)
     ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(20), 0.3, 0.4)
-    assert degrees == [20, 20]  # the outer row and one shared inner row
+    assert degrees == [20]  # the outer row
+    assert inner == [[20]]  # one shared inner row
