@@ -216,6 +216,7 @@ def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarr
     row = {m: r[: m + 1] for m, r in zip(distinct, _row_triangle(distinct, t))}
     total = 0.0
     for k, w, m in zip(live.tolist(), outer[live].tolist(), degrees):
+        # ndarray.dot of two vectors calls the same BLAS ddot as @, for less overhead
         total += w * float(row[m].dot(table[k, : m + 1]))
     return total
 
@@ -234,8 +235,7 @@ def stancu(
         raise ValueError(f"point ({x}, {y}) outside the domain")
     outer = basis_row(n, dom.x_interval.to_unit(x))
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
-    width = np.array([dom.width(v) for v in xk.tolist()])
-    low = np.array([dom.phi1(v) for v in xk.tolist()])
+    width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
     table = _sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
     return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
 

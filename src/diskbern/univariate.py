@@ -166,12 +166,10 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return row
 
 
-def _row_triangle(degrees: np.ndarray, x: float) -> np.ndarray:
-    """basis_row(m, x) for each m in degrees, with the same bits, as the rows
-    of one (len(degrees), max + 1) array that is zero right of column m.
-
-    Entry (m, k) is exp((logC(m, k) + k log x) + (m - k) log(1 - x)), the
-    operands and add order of basis_row, so one exp covers every degree.
+def _row_triangle(degrees: list[int], x: float) -> np.ndarray:
+    """basis_row(m, x) for each m in degrees as the rows of one array, zero
+    right of column m. Entry (m, k) is exp((logC(m, k) + k log x) +
+    (m - k) log(1 - x)): basis_row's operands and add order, so its bits.
     """
     x = _check_unit(x)
     m = np.asarray(degrees)[:, None]
