@@ -235,7 +235,8 @@ def stancu(
         raise ValueError(f"point ({x}, {y}) outside the domain")
     outer = basis_row(n, dom.x_interval.to_unit(x))
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
-    width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
+    curves = [(dom.phi1(v), dom.phi2(v)) for v in xk.tolist()]
+    width, low = np.array([(hi - lo, lo) for lo, hi in curves]).T  # hi - lo as in dom.width
     table = _sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
     return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
 

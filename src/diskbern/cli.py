@@ -103,8 +103,7 @@ def cmd_mesh(args) -> int:
     else:
         mesh = ex.mesh_quadrant_disk(args.n, dedup=args.dedup)
         header = ["x", "y", "quadrant", "k", "j"]
-    xs, ys = mesh.points.T.tolist()
-    rows = [(x, y, *label) for x, y, label in zip(xs, ys, mesh.labels)]
+    rows = list(zip(*mesh.points.T.tolist(), *mesh.label_columns()))
     path = _out_path(f"mesh_{args.kind}_{args.n}.csv", args.out)
     _write_csv(path, header, rows)
     print(path)

@@ -8,6 +8,7 @@ identical for any thread count.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -87,21 +88,73 @@ def builtin(example_id: int | str) -> Callable[[float, float], float]:
 # Meshes
 
 
+def _degree(n) -> int:
+    """n as an int; ValueError unless it is an integer >= 1."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if value < 1:
+        raise ValueError("n must be >= 1")
+    return value
+
+
+def _chord_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, j) of the chord mesh as an open grid: k a column, j a row."""
+    idx = np.arange(n + 1)
+    return idx[:, None], idx[None, :]
+
+
+def _quadrant_indices(n: int, q: Quadrant, dedup: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(k, j), j <= n - k, of quadrant q's points in order of k, then j.
+
+    With dedup, a point on an axis that an earlier quadrant already has is
+    left out: B2 shares x = 0 (k = 0) with B1, B3 shares y = 0 (j = 0)
+    with B2, and B4 shares both axes with B1 and B3.
+    """
+    length = np.arange(n + 1, 0, -1)  # points in row k
+    k = np.repeat(np.arange(n + 1), length)
+    j = np.arange(k.size) - np.repeat(np.cumsum(length) - length, length)
+    if dedup and q is not Quadrant.B1:
+        keep = {Quadrant.B2: k > 0, Quadrant.B3: j > 0, Quadrant.B4: (k > 0) & (j > 0)}[q]
+        k, j = k[keep], j[keep]
+    return k, j
+
+
 @dataclass(frozen=True)
 class MeshSpec:
-    """A disk mesh: point coordinates plus their generating indices.
+    """A disk mesh: its point coordinates and the (kind, n, dedup) that
+    generate them.
 
-    labels holds, per point, (k, j) for the chord mesh and (quadrant, k, j)
-    for the quadrant mesh. nominal_size is the published cardinality used as
-    the RMSE denominator regardless of deduplication.
+    nominal_size is the published cardinality used as the RMSE denominator
+    regardless of deduplication.
     """
 
     kind: str
     n: int
     dedup: bool
     points: np.ndarray
-    labels: tuple[tuple, ...]
     nominal_size: int
+
+    def label_columns(self) -> list[list]:
+        """The generating indices of the points as columns of Python values:
+        k and j for the chord mesh; quadrant name, k and j for the quadrant
+        mesh."""
+        if self.kind == "stancu":
+            return [c.ravel().tolist() for c in np.broadcast_arrays(*_chord_indices(self.n))]
+        names, ks, js = [], [], []
+        for q in _QUADRANTS:
+            k, j = _quadrant_indices(self.n, q, self.dedup)
+            names += [q.name] * k.size
+            ks += k.tolist()
+            js += j.tolist()
+        return [names, ks, js]
+
+    @property
+    def labels(self) -> tuple[tuple, ...]:
+        """Per point, (k, j) for the chord mesh and (quadrant, k, j) for the
+        quadrant mesh, rebuilt on each access."""
+        return tuple(zip(*self.label_columns()))
 
 
 def mesh_stancu_disk(n: int) -> MeshSpec:
@@ -110,14 +163,14 @@ def mesh_stancu_disk(n: int) -> MeshSpec:
     Multiplicity is retained: there are exactly (n+1)^2 entries, with the
     columns at x = +-1 collapsing to repeated points on the x axis.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    idx = np.arange(n + 1)
-    k, j = np.repeat(idx, n + 1), np.tile(idx, n + 1)
-    r = 2.0 * np.sqrt(k * (n - k))
-    pts = np.column_stack(((2 * k - n) / n, r * (n - 2 * j) / n**2))
-    labels = tuple(zip(k.tolist(), j.tolist()))
-    return MeshSpec("stancu", n, False, pts, labels, (n + 1) ** 2)
+    n = _degree(n)
+    k, j = _chord_indices(n)
+    pts = np.empty(((n + 1) ** 2, 2))
+    x, y = (pts[:, c].reshape(n + 1, n + 1) for c in (0, 1))  # views into pts
+    x[:] = (2 * k - n) / n
+    np.multiply(2.0 * np.sqrt(k * (n - k)), n - 2 * j, out=y)
+    y /= n**2
+    return MeshSpec("stancu", n, False, pts, (n + 1) ** 2)
 
 
 def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
@@ -126,25 +179,18 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
     2n(n+1)+1 distinct points (the published count 2n(n+1) misses the
     origin). nominal_size stays at the published 2n(n+1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _degree(n)
     roots = np.sqrt(np.arange(n + 1) / n)
-    length = np.arange(n + 1, 0, -1)  # points in row k
-    k = np.repeat(np.arange(n + 1), length)
-    j = np.arange(k.size) - np.repeat(np.cumsum(length) - length, length)
-    # A quadrant's points on an axis repeat those of an earlier quadrant:
-    # B2 shares x = 0 (k = 0) with B1, B3 shares y = 0 (j = 0) with B2,
-    # and B4 shares both axes with B1 and B3.
-    keep = {Quadrant.B1: k >= 0, Quadrant.B2: k > 0, Quadrant.B3: j > 0,
-            Quadrant.B4: (k > 0) & (j > 0)}
-    blocks, labels = [], []
+    pts = np.empty((2 * n * (n + 1) + 1 if dedup else 2 * (n + 1) * (n + 2), 2))
+    a = 0
     for q in _QUADRANTS:
         sx, sy = q.value
-        qk, qj = (k[keep[q]], j[keep[q]]) if dedup else (k, j)
-        blocks.append(np.column_stack((sx * roots[qk] + 0.0, sy * roots[qj] + 0.0)))
-        labels.extend(zip([q.name] * qk.size, qk.tolist(), qj.tolist()))
-    return MeshSpec("quadrant", n, dedup, np.concatenate(blocks), tuple(labels),
-                    2 * n * (n + 1))
+        k, j = _quadrant_indices(n, q, dedup)
+        block = pts[a:a + k.size]
+        block[:, 0] = sx * roots[k] + 0.0
+        block[:, 1] = sy * roots[j] + 0.0
+        a += k.size
+    return MeshSpec("quadrant", n, dedup, pts, 2 * n * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +209,11 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
 # matrix, so a fixed split keeps outputs identical for any thread count.
 
 _ROWS = 512
+
+# Points whose u and t rows _chord_disk_batch gathers at once. Each point's
+# dot product runs on its own, so the block size changes no bits; a small
+# block keeps the two gathered (block, n+1) copies per thread small.
+_GATHER = 128
 
 
 @dataclass(frozen=True)
@@ -209,6 +260,17 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
     return out
 
 
+def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed coordinates u = (x+1)/2, t = (y/sqrt(1-x^2)+1)/2 of the
+    chord-disk operator; t = 1/2 where the chord has no height."""
+    x = np.clip(pts[:, 0], -1.0, 1.0)
+    y = pts[:, 1]
+    u = (x + 1.0) / 2.0
+    half = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    t = np.where(half > _EPS, (np.divide(y, np.where(half > _EPS, half, 1.0)) + 1.0) / 2.0, 0.5)
+    return u, np.clip(t, 0.0, 1.0)
+
+
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
                       pts: np.ndarray, threads: int | None = None) -> np.ndarray:
     """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points."""
@@ -220,23 +282,16 @@ def _chord_disk_batch(f: Callable[[float, float], float], n: int,
         fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
     check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
 
-    x = np.clip(pts[:, 0], -1.0, 1.0)
-    y = pts[:, 1]
-    u = (x + 1.0) / 2.0
-    half = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    t = np.where(half > _EPS, (np.divide(y, np.where(half > _EPS, half, 1.0)) + 1.0) / 2.0, 0.5)
-    t = np.clip(t, 0.0, 1.0)
-
     def evaluate(g: _Group) -> np.ndarray:
         gu = basis_rows(n, g.u) @ fnode
         pt = basis_rows(n, g.t)
         values = np.empty(g.points.size)
-        for a in range(0, values.size, _ROWS):  # bounds the gathered rows
-            s = slice(a, a + _ROWS)
+        for a in range(0, values.size, _GATHER):
+            s = slice(a, a + _GATHER)
             values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
         return values
 
-    return _evaluate_groups(evaluate, _groups(u, t), len(pts), threads)
+    return _evaluate_groups(evaluate, _groups(*_chord_coordinates(pts)), len(pts), threads)
 
 
 def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
@@ -309,9 +364,7 @@ def disk_operator(kind: str, n: int) -> DiskOperator:
     aliases = {"Cbar": "Cbar", "Bbar": "Bbar", "Bstancu": "Bstancu", "Bstancu-disk": "Bstancu"}
     if kind not in aliases:
         raise ValueError(f"unknown operator kind {kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return DiskOperator(aliases[kind], n)
+    return DiskOperator(aliases[kind], _degree(n))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +404,8 @@ def rmse(
     denominator: "nominal" divides by the published mesh cardinality;
     "actual" divides by the number of points actually summed.
     """
+    if denominator not in ("nominal", "actual"):
+        raise ValueError(f"unknown denominator {denominator!r}; use 'nominal' or 'actual'")
     z = _sample(f, mesh.points)
     zhat = op(f, mesh.points, threads=threads)
     sq = (z - zhat) ** 2

@@ -296,6 +296,55 @@ def test_bivariate_stancu_skips_rows_without_weight():
     assert calls == [(-1.0, 0.0)] * 5  # only row k = 0, whose chord has collapsed
 
 
+def parent_stancu(f, dom, n, sched, x, y):
+    """bivariate.stancu as it was before it called each curve once per node
+    abscissa: dom.width, then dom.phi1 again, at every x_k."""
+    counts = sched.counts(n)
+    if not dom.contains(x, y):
+        raise ValueError(f"point ({x}, {y}) outside the domain")
+    outer = basis_row(n, dom.x_interval.to_unit(x))
+    xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
+    width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
+    table = biv._sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
+    return biv._nested_sum(outer, biv._inner_t(dom, x, y), counts, table)
+
+
+def counted_domain(dom):
+    """dom with curves that count their calls, the count reset after the
+    domain's own validation grid."""
+    calls = [0]
+
+    def wrap(phi):
+        def counted(x):
+            calls[0] += 1
+            return phi(x)
+        return counted
+
+    wrapped = CurvilinearDomain(dom.a, dom.b, wrap(dom.phi1), wrap(dom.phi2))
+    calls[0] = 0
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("dom", [DISK, BENT], ids=["disk", "bent"])
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_bivariate_stancu_calls_each_curve_once_per_node_abscissa(dom, n):
+    counted, calls = counted_domain(dom)
+    sched = NodeSchedule.n_minus_k()
+    for x, y in [(dom.a + 0.3 * (dom.b - dom.a), dom.phi1(dom.a + 0.3 * (dom.b - dom.a)) + 0.1),
+                 ((dom.a + dom.b) / 2, dom.phi2((dom.a + dom.b) / 2))]:
+        for e in (1, 3):
+            calls[0] = 0
+            value = biv.stancu(ex.builtin(e), counted, n, sched, x, y)
+            # phi1 and phi2 at each x_k, two in contains and three in _inner_t
+            assert calls[0] == 2 * (n + 1) + 5
+            expected = parent_stancu(ex.builtin(e), dom, n, sched, x, y)
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+    if n == 40:
+        calls[0] = 0
+        parent_stancu(ex.builtin(1), counted, n, sched, x, y)
+        assert calls[0] == 3 * (n + 1) + 5 == 128
+
+
 def test_check_f_values_importable_from_disk():
     assert disk.check_f_values is biv.check_f_values
 
