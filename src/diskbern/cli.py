@@ -10,7 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice, repeat
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import experiments as ex
 
@@ -19,6 +23,9 @@ __all__ = ["main", "entry"]
 OUT_DIR_ENV = "DISKBERN_OUT_DIR"
 
 _OPERATORS = ("Cbar", "Bbar", "Bstancu-disk")
+
+# CSV rows formatted and written at once
+_BLOCK = 4096
 
 
 def _fmt(value: float, digits: int = 9) -> str:
@@ -67,15 +74,21 @@ def _out_path(name: str, out: str | None) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, ".")) / name
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     """One line per row, floats as _fmt writes them and anything else as
-    str; every row has the types of the first one.
+    str; every row has the types of the first one. The rows are formatted
+    and written _BLOCK at a time, so any iterable of them streams.
     """
-    lines = [",".join(header)]
-    if rows:
-        template = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
-        lines += [template % row for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        if first is None:
+            return
+        template = ",".join("%.9g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        out.write(template % first)
+        while block := [template % row for row in islice(rows, _BLOCK)]:
+            out.write("".join(block))
 
 
 def cmd_table(args) -> int:
@@ -96,6 +109,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _mesh_rows(mesh: ex.MeshSpec) -> Iterator[tuple]:
+    """(x, y, k, j) of each chord-mesh point, or (x, y, quadrant, k, j) of
+    each quadrant-mesh point, built _BLOCK points at a time."""
+    pts, n = mesh.points, mesh.n
+    if mesh.kind == "stancu":
+        rows, cols = ex._chord_indices(n)
+        segments = (((), np.full(n + 1, k), cols.ravel()) for k in rows.ravel().tolist())
+    else:
+        segments = (((q.name,), *ex._quadrant_indices(n, q, mesh.dedup)) for q in ex._QUADRANTS)
+    a = 0
+    for prefix, ks, js in segments:  # points a, a+1, ... have these labels
+        for b in range(0, ks.size, _BLOCK):
+            x, y = pts[a + b:a + b + _BLOCK].T.tolist()
+            yield from zip(x, y, *map(repeat, prefix),
+                           ks[b:b + _BLOCK].tolist(), js[b:b + _BLOCK].tolist())
+        a += ks.size
+
+
 def cmd_mesh(args) -> int:
     if args.kind == "stancu":
         mesh = ex.mesh_stancu_disk(args.n)
@@ -103,9 +134,8 @@ def cmd_mesh(args) -> int:
     else:
         mesh = ex.mesh_quadrant_disk(args.n, dedup=args.dedup)
         header = ["x", "y", "quadrant", "k", "j"]
-    rows = list(zip(*mesh.points.T.tolist(), *mesh.label_columns()))
     path = _out_path(f"mesh_{args.kind}_{args.n}.csv", args.out)
-    _write_csv(path, header, rows)
+    _write_csv(path, header, _mesh_rows(mesh))
     print(path)
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -96,6 +97,20 @@ def _degree(n) -> int:
         raise ValueError(f"n must be an integer, got {n!r}") from None
     if value < 1:
         raise ValueError("n must be >= 1")
+    return value
+
+
+def _threads(threads):
+    """threads as None or an int; ValueError unless it is None or an
+    integer >= 1."""
+    if threads is None:
+        return None
+    try:
+        value = operator.index(threads)
+    except TypeError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
     return value
 
 
@@ -218,45 +233,78 @@ _GATHER = 128
 
 @dataclass(frozen=True)
 class _Group:
-    points: np.ndarray  # indices of the group's points
+    points: np.ndarray  # indices of the group's points (int32)
     u: np.ndarray       # distinct u values of the group
-    ui: np.ndarray      # per point, its row in u
+    ui: np.ndarray      # per point, its row in u (int32)
     t: np.ndarray       # distinct t values of the group
-    ti: np.ndarray      # per point, its row in t
+    ti: np.ndarray      # per point, its row in t (int32)
 
 
 def _groups(u: np.ndarray, t: np.ndarray) -> list[_Group]:
     """Points split into consecutive spans of _ROWS distinct t values, each
-    span split further so that no group has more than _ROWS distinct u."""
-    span = np.unique(t, return_inverse=True)[1] // _ROWS
-    order = np.lexsort((u, span))
-    span, su = span[order], u[order]
-    new_span = np.r_[True, span[1:] != span[:-1]]
-    new_u = new_span | np.r_[True, su[1:] != su[:-1]]
-    seen = np.cumsum(new_u)
-    rank = seen - seen[new_span][np.cumsum(new_span) - 1]  # distinct u before, in the span
-    cut = new_span | np.r_[True, rank[1:] // _ROWS != rank[:-1] // _ROWS]
-    bounds = np.r_[np.nonzero(cut)[0], len(order)]
+    span ordered by (u, point index) and split further so that no group has
+    more than _ROWS distinct u.
+
+    One sort of t lays the spans out contiguously, and each span is sorted
+    on its own, so no temporary outgrows the sort order of all points.
+    Indices are int32.
+    """
+    order = np.argsort(t, kind="stable")
+    st = t[order]
+    order = order.astype(np.int32)
+    starts = np.flatnonzero(np.r_[True, st[1:] != st[:-1]])  # first of each distinct t
+    distinct_t = st[starts]
+    del st
+    edges = np.r_[starts[::_ROWS], order.size]
     groups = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        p = order[a:b]
-        gu, gui = np.unique(u[p], return_inverse=True)
-        gt, gti = np.unique(t[p], return_inverse=True)
-        groups.append(_Group(p, gu, gui, gt, gti))
+    for s, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        span_t = distinct_t[s * _ROWS:(s + 1) * _ROWS]
+        p = np.sort(order[a:b])
+        p = p[np.argsort(u[p], kind="stable")]
+        su = u[p]
+        new_u = np.r_[True, su[1:] != su[:-1]]
+        cuts = np.r_[np.flatnonzero(new_u)[::_ROWS], p.size]
+        for c, d in zip(cuts[:-1], cuts[1:]):
+            gp = p[c:d]
+            gti = np.searchsorted(span_t, t[gp]).astype(np.int32)
+            gt = span_t
+            if d - c < p.size:  # one of several groups in the span: keep its own t
+                present = np.zeros(span_t.size, dtype=bool)
+                present[gti] = True
+                gt, gti = span_t[present], (np.cumsum(present, dtype=np.int32) - 1)[gti]
+            gui = np.cumsum(new_u[c:d], dtype=np.int32)
+            gui -= 1
+            groups.append(_Group(gp, su[c:d][new_u[c:d]], gui, gt, gti))
     return groups
 
 
 def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Group],
                      count: int, threads: int | None) -> np.ndarray:
-    """Values of every group, on a thread pool when threads > 1, in point order."""
-    if threads is None or threads <= 1:
-        parts = [evaluate(g) for g in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(evaluate, groups))
+    """Values of every group, in point order. With threads = T > 1 the
+    calling thread and T - 1 pool workers take groups from one shared
+    iterator; each group's values go straight to its own points, so the
+    output is the same for every T."""
     out = np.empty(count)
-    for g, values in zip(groups, parts):
-        out[g.points] = values
+    todo = iter(groups)
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                g = next(todo, None)
+            if g is None:
+                return
+            out[g.points] = evaluate(g)
+
+    threads = min(threads or 1, len(groups))
+    if threads <= 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            helpers = [pool.submit(work) for _ in range(threads - 1)]
+            work()
+            for h in helpers:
+                h.result()
     return out
 
 
@@ -283,8 +331,8 @@ def _chord_disk_batch(f: Callable[[float, float], float], n: int,
     check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
 
     def evaluate(g: _Group) -> np.ndarray:
+        pt = basis_rows(n, g.t)  # first, so its temporaries are gone before the gemm
         gu = basis_rows(n, g.u) @ fnode
-        pt = basis_rows(n, g.t)
         values = np.empty(g.points.size)
         for a in range(0, values.size, _GATHER):
             s = slice(a, a + _GATHER)
@@ -320,7 +368,8 @@ def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
         for i, tab in enumerate(tables):
             sel = np.nonzero(gq == i)[0]
             if sel.size:
-                members.append((tab, sel, g.ui[sel], g.ti[sel], np.zeros(sel.size)))
+                members.append((tab, sel, g.ui[sel].astype(np.intp), g.ti[sel].astype(np.intp),
+                                np.zeros(sel.size)))
         for k, rows in enumerate(_degree_rows(n, g.t)):  # rows of degree n - k
             for tab, _, ui, ti, acc in members:
                 acc += pu[k, ui] * (rows @ tab[k, : n - k + 1])[ti]
@@ -340,6 +389,7 @@ class DiskOperator:
     n: int
 
     def __call__(self, f, pts: np.ndarray, threads: int | None = None) -> np.ndarray:
+        threads = _threads(threads)
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
             pts = pts.reshape(-1, 2)
@@ -406,9 +456,11 @@ def rmse(
     """
     if denominator not in ("nominal", "actual"):
         raise ValueError(f"unknown denominator {denominator!r}; use 'nominal' or 'actual'")
+    threads = _threads(threads)
     z = _sample(f, mesh.points)
-    zhat = op(f, mesh.points, threads=threads)
-    sq = (z - zhat) ** 2
+    sq = op(f, mesh.points, threads=threads)
+    np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
+    sq *= sq
     denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
     return math.sqrt(math.fsum(sq) / denom)
 
@@ -421,6 +473,7 @@ def run_example(
     """RMSE of the piecewise quadrant operator and the chord-mesh disk
     operator for one built-in function over the published meshes.
     """
+    threads = _threads(threads)
     f = builtin(example_id)
     fid = f"example{example_id}"
     rows_c, rows_b, sizes = [], [], []
@@ -498,6 +551,7 @@ def reference_report(
     disagreement under the nominal convention can be cross-checked against
     the alternative one.
     """
+    threads = _threads(threads)
     f = builtin(example_id)
     table = REFERENCE_RMSE[example_id]
     cells = []
@@ -534,6 +588,7 @@ def cross_section(
 
     Returns rows (s, x, y, f, value_n1, value_n2, ...), s in [0, 1].
     """
+    threads = _threads(threads)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     (x0, y0), (x1, y1) = segment

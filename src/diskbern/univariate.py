@@ -201,6 +201,8 @@ def _check_unit_array(xs) -> np.ndarray:
 
 def basis_rows(n: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized basis rows: shape (len(xs), n+1); xs must lie in [0, 1]."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
     xs = _check_unit_array(xs)
     interior = (xs > 0.0) & (xs < 1.0)
     if interior.all():
@@ -236,6 +238,8 @@ def _degree_rows(n: int, xs: np.ndarray):
     exactly the one-hot row. Each yielded array is a contiguous view of one
     buffer that the next degree overwrites.
     """
+    if n < 0:
+        raise ValueError("degree must be non-negative")
     xs = _check_unit_array(xs)
     k = np.arange(n + 1)
     interior = (xs > 0.0) & (xs < 1.0)

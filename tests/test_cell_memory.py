@@ -1,0 +1,239 @@
+"""What a large RMSE cell holds: the groups come from one sort with int32
+indices and the same content as the two-sort construction they replace, the
+calling thread is one of the `threads` that evaluate them, `rmse` squares
+in place with unchanged bits, and nonsense thread counts and degrees fail
+before any work.
+"""
+
+import math
+import sys
+import threading
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diskbern import experiments as ex
+from diskbern.univariate import _degree_rows, basis_rows
+
+
+def groups_two_sorts(u, t, rows=512):
+    """_groups as it was: np.unique over all t, then one lexsort by (span, u)."""
+    span = np.unique(t, return_inverse=True)[1] // rows
+    order = np.lexsort((u, span))
+    span, su = span[order], u[order]
+    new_span = np.r_[True, span[1:] != span[:-1]]
+    new_u = new_span | np.r_[True, su[1:] != su[:-1]]
+    seen = np.cumsum(new_u)
+    rank = seen - seen[new_span][np.cumsum(new_span) - 1]
+    cut = new_span | np.r_[True, rank[1:] // rows != rank[:-1] // rows]
+    bounds = np.r_[np.nonzero(cut)[0], len(order)]
+    groups = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        p = order[a:b]
+        gu, gui = np.unique(u[p], return_inverse=True)
+        gt, gti = np.unique(t[p], return_inverse=True)
+        groups.append((p, gu, gui, gt, gti))
+    return groups
+
+
+def assert_same_groups(u, t):
+    expected = groups_two_sorts(u, t)
+    got = ex._groups(u, t)
+    assert len(got) == len(expected)
+    for g, (p, gu, gui, gt, gti) in zip(got, expected):
+        assert g.points.dtype == g.ui.dtype == g.ti.dtype == np.int32
+        assert np.array_equal(g.points, p)
+        assert np.array_equal(g.ui, gui) and np.array_equal(g.ti, gti)
+        assert g.u.tobytes() == gu.tobytes() and g.t.tobytes() == gt.tobytes()
+
+
+def quadrant_coordinates(pts):
+    """(u, t) = (x^2, y^2 / (1 - x^2)) as the Cbar kernel computes them."""
+    x, y = pts[:, 0], pts[:, 1]
+    u = np.clip(x * x, 0.0, 1.0)
+    rest = 1.0 - u
+    t = np.where(rest > 1e-12, (y * y) / np.where(rest > 1e-12, rest, 1.0), 0.0)
+    return u, np.clip(t, 0.0, 1.0)
+
+
+def test_groups_match_on_chord_meshes():
+    for n in list(range(1, 46)) + [320]:
+        assert_same_groups(*ex._chord_coordinates(ex.mesh_stancu_disk(n).points))
+
+
+@pytest.mark.parametrize("dedup", [True, False])
+def test_groups_match_on_quadrant_meshes(dedup):
+    for n in list(range(1, 46)) + [120]:
+        assert_same_groups(*quadrant_coordinates(ex.mesh_quadrant_disk(n, dedup).points))
+
+
+@pytest.mark.parametrize("count", [1, 2, 511, 512, 513, 5000, 60000])
+def test_groups_match_on_random_inputs(count):
+    rng = np.random.default_rng(count)
+    # 3 levels repeat every value; 700 and 5000 levels put more than 512
+    # distinct u into one span; random floats give every point its own t
+    for levels in (3, 700, 5000):
+        assert_same_groups(rng.integers(0, levels, count) / levels,
+                           rng.integers(0, levels, count) / levels)
+    assert_same_groups(rng.random(count), rng.random(count))
+    assert_same_groups(rng.random(count), np.full(count, 0.5))
+    assert_same_groups(np.full(count, 0.25), np.full(count, 0.75))
+
+
+def test_groups_peak_and_keep_little_memory():
+    u, t = ex._chord_coordinates(ex.mesh_stancu_disk(320).points)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        groups = ex._groups(u, t)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(groups) > 1
+    assert peak - before <= 6.5 * u.nbytes
+    assert kept - before <= 2.0 * u.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the calling thread works in the pool
+
+class RecordingPool(ex.ThreadPoolExecutor):
+    sizes = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+def many_groups():
+    """Points with 12 groups (the n = 120 quadrant mesh's collapsed coordinates)."""
+    u, t = quadrant_coordinates(ex.mesh_quadrant_disk(120).points)
+    return ex._groups(u, t), u.size
+
+
+@pytest.mark.parametrize("threads, sizes", [(None, []), (1, []), (2, [1]), (3, [2]), (5, [4])])
+def test_pool_has_one_worker_fewer_than_threads(threads, sizes, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", RecordingPool)
+    groups, count = many_groups()
+    callers = set()
+
+    def evaluate(g):
+        callers.add(threading.get_ident())
+        time.sleep(0.005)  # long enough that no thread takes every group
+        return g.ui + 1000.0 * g.ti
+
+    out = ex._evaluate_groups(evaluate, groups, count, threads)
+    assert RecordingPool.sizes == sizes
+    assert threading.get_ident() in callers
+    expected = np.empty(count)
+    for g in groups:
+        expected[g.points] = g.ui + 1000.0 * g.ti
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_pool_never_outnumbers_the_groups(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", RecordingPool)
+    u, t = ex._chord_coordinates(ex.mesh_stancu_disk(5).points)
+    groups = ex._groups(u, t)
+    assert len(groups) == 1
+    ex._evaluate_groups(lambda g: np.zeros(g.points.size), groups, u.size, 4)
+    assert RecordingPool.sizes == []
+
+
+def test_every_group_runs_once_under_contention():
+    rng = np.random.default_rng(7)
+    u, t = rng.random(40000), rng.random(40000)  # 79 groups of one span each
+    groups = ex._groups(u, t)
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            runs.clear()
+            out = ex._evaluate_groups(lambda g: runs.append(g) or t[g.points] * 2.0,
+                                      groups, u.size, 8)
+            assert sorted(map(id, runs)) == sorted(map(id, groups))
+            assert out.tobytes() == (t * 2.0).tobytes()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_an_error_in_any_group_propagates(threads):
+    groups, count = many_groups()
+
+    def evaluate(g):
+        if g is groups[5]:
+            raise ArithmeticError("group 5")
+        return np.zeros(g.points.size)
+
+    with pytest.raises(ArithmeticError, match="group 5"):
+        ex._evaluate_groups(evaluate, groups, count, threads)
+
+
+# ---------------------------------------------------------------------------
+# rmse squares in place
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_rmse_keeps_its_bits(example):
+    f = ex.builtin(example)
+    for n in (1, 7, 40):
+        for kind, mesh in (("Cbar", ex.mesh_quadrant_disk(n)), ("Bstancu", ex.mesh_stancu_disk(n))):
+            op = ex.disk_operator(kind, n)
+            z = np.array([f(x, y) for x, y in mesh.points.tolist()])
+            sq = (z - op(f, mesh.points)) ** 2
+            for denominator, denom in (("nominal", mesh.nominal_size), ("actual", len(mesh.points))):
+                expected = math.sqrt(math.fsum(sq) / denom)
+                assert ex.rmse(f, op, mesh, denominator=denominator) == expected
+
+
+# ---------------------------------------------------------------------------
+# nonsense thread counts and degrees
+
+BAD_THREADS = [0, -3, 1.5, "2"]
+
+
+class Recording:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return x + y
+
+
+@pytest.mark.parametrize("threads", BAD_THREADS)
+def test_bad_threads_raise_before_f_is_called(threads, monkeypatch):
+    f = Recording()
+    monkeypatch.setitem(ex.BUILTINS, "example1", f)
+    calls = [
+        lambda: ex.disk_operator("Cbar", 5)(f, [(0.1, 0.2)], threads=threads),
+        lambda: ex.disk_operator("Bstancu", 5)(f, [(0.1, 0.2)], threads=threads),
+        lambda: ex.rmse(f, ex.disk_operator("Cbar", 3), ex.mesh_quadrant_disk(3), threads=threads),
+        lambda: ex.run_example(1, [3], threads=threads),
+        lambda: ex.reference_report(1, [10], threads=threads),
+        lambda: ex.cross_section("Cbar", f, [3], samples=5, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="threads must be None or an integer >= 1"):
+            call()
+    assert f.calls == 0
+
+
+def test_integer_thread_counts_are_accepted():
+    f, pts = ex.builtin(2), ex.mesh_stancu_disk(6).points
+    op = ex.disk_operator("Bstancu", 6)
+    expected = op(f, pts).tobytes()
+    for threads in (None, 1, 2, np.int64(3)):
+        assert op(f, pts, threads=threads).tobytes() == expected
+
+
+def test_negative_degree_rows_raise():
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        basis_rows(-1, [0.5, 0.0])
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        next(_degree_rows(-1, [0.5, 0.0]))

@@ -2,12 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diskbern import experiments as ex
-from diskbern.cli import main
+from diskbern.cli import _write_csv, main
 
 
 def run(args, capsys):
@@ -149,6 +150,36 @@ class TestTable:
         argv = ["mesh", "--kind", kind, "--n", n, "--out", str(out)] + (["--dedup"] if dedup else [])
         assert run(argv, capsys)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MESH_SHA256[kind, n, dedup]
+
+
+class TestStreamedCsv:
+    ROWS = [(n, n / 7.0, "B1" if n % 2 else "B3") for n in range(10000)]
+
+    def test_generator_writes_the_bytes_of_a_list(self, tmp_path):
+        a, b = tmp_path / "list.csv", tmp_path / "gen.csv"
+        _write_csv(a, ["k", "v", "q"], self.ROWS)
+        _write_csv(b, ["k", "v", "q"], (row for row in self.ROWS))
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().count("\n") == len(self.ROWS) + 1
+
+    def test_no_rows_write_only_the_header(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        _write_csv(out, ["k", "v"], iter(()))
+        assert out.read_text() == "k,v\n"
+
+    def test_mesh_command_holds_no_whole_mesh_lists(self, tmp_path, capsys):
+        argv = ["mesh", "--kind", "quadrant", "--n", "200", "--dedup", "--out", str(tmp_path / "m.csv")]
+        assert run(argv, capsys)[0] == 0  # imports and caches warmed up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 6e6
 
 
 class TestCounts:
