@@ -310,13 +310,19 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
 
 def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed coordinates u = (x+1)/2, t = (y/sqrt(1-x^2)+1)/2 of the
-    chord-disk operator; t = 1/2 where the chord has no height."""
-    x = np.clip(pts[:, 0], -1.0, 1.0)
-    y = pts[:, 1]
-    u = (x + 1.0) / 2.0
-    half = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    t = np.where(half > _EPS, (np.divide(y, np.where(half > _EPS, half, 1.0)) + 1.0) / 2.0, 0.5)
-    return u, np.clip(t, 0.0, 1.0)
+    chord-disk operator; t = 1/2 where the chord has no height. u and t are
+    finished in place, so at most three point-sized float arrays coexist."""
+    u = np.clip(pts[:, 0], -1.0, 1.0)
+    t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))  # the chord's half-width
+    flat = t <= _EPS
+    t[flat] = 1.0
+    np.divide(pts[:, 1], t, out=t)
+    t += 1.0
+    t /= 2.0
+    t[flat] = 0.5
+    u += 1.0
+    u /= 2.0
+    return u, np.clip(t, 0.0, 1.0, out=t)
 
 
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
@@ -442,6 +448,16 @@ class RmseReport:
     mesh_sizes: tuple[tuple[int, int], ...]
 
 
+def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
+                       mesh: MeshSpec, threads: int) -> float:
+    """fsum of (f - op f)^2 over the mesh points."""
+    z = _sample(f, mesh.points)
+    sq = op(f, mesh.points, threads=threads)
+    np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
+    sq *= sq
+    return math.fsum(sq)
+
+
 def rmse(
     f: Callable[[float, float], float],
     op: DiskOperator,
@@ -456,13 +472,9 @@ def rmse(
     """
     if denominator not in ("nominal", "actual"):
         raise ValueError(f"unknown denominator {denominator!r}; use 'nominal' or 'actual'")
-    threads = _threads(threads)
-    z = _sample(f, mesh.points)
-    sq = op(f, mesh.points, threads=threads)
-    np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
-    sq *= sq
+    total = _squared_error_sum(f, op, mesh, _threads(threads))
     denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
-    return math.sqrt(math.fsum(sq) / denom)
+    return math.sqrt(total / denom)
 
 
 def run_example(
@@ -556,23 +568,15 @@ def reference_report(
     table = REFERENCE_RMSE[example_id]
     cells = []
     for n in n_list:
-        ref_c, ref_b = table[n]
-        qmesh = mesh_quadrant_disk(n, dedup=True)
-        smesh = mesh_stancu_disk(n)
-        op_c = disk_operator("Cbar", n)
-        op_b = disk_operator("Bstancu", n)
-        cells.append(ReferenceCell(
-            example_id, "Cbar", n,
-            rmse(f, op_c, qmesh, threads=threads, denominator="nominal"),
-            rmse(f, op_c, qmesh, threads=threads, denominator="actual"),
-            ref_c,
-        ))
-        cells.append(ReferenceCell(
-            example_id, "Bstancu", n,
-            rmse(f, op_b, smesh, threads=threads, denominator="nominal"),
-            rmse(f, op_b, smesh, threads=threads, denominator="actual"),
-            ref_b,
-        ))
+        cases = (("Cbar", mesh_quadrant_disk(n, dedup=True)), ("Bstancu", mesh_stancu_disk(n)))
+        for (kind, mesh), reference in zip(cases, table[n]):
+            total = _squared_error_sum(f, disk_operator(kind, n), mesh, threads)
+            cells.append(ReferenceCell(
+                example_id, kind, n,
+                math.sqrt(total / mesh.nominal_size),
+                math.sqrt(total / len(mesh.points)),
+                reference,
+            ))
     return cells
 
 

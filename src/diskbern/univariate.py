@@ -132,44 +132,26 @@ def _log_binomials(n: int) -> np.ndarray:
 
 
 def basis_classical(n: int, k: int, x: float) -> float:
-    """Degree-n Bernstein basis polynomial C(n,k) x^k (1-x)^(n-k) on [0, 1].
-
-    Uses the 0^0 = 1 convention at the endpoints.
+    """Degree-n Bernstein basis polynomial C(n,k) x^k (1-x)^(n-k) on [0, 1]:
+    entry k of basis_row(n, x), so 0^0 = 1 at the endpoints.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
+    row = basis_row(n, x)
     if not 0 <= k <= n:
         raise ValueError(f"basis index {k} out of range [0, {n}]")
-    x = _check_unit(x)
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if x == 1.0:
-        return 1.0 if k == n else 0.0
-    return float(
-        math.exp(_log_binomials(n)[k] + k * math.log(x) + (n - k) * math.log1p(-x))
-    )
+    return float(row[k])
 
 
 def basis_row(n: int, x: float) -> np.ndarray:
     """All n+1 Bernstein basis values at x, stable for n up to ~400."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    x = _check_unit(x)
-    row = np.zeros(n + 1)
-    if x == 0.0:
-        row[0] = 1.0
-    elif x == 1.0:
-        row[n] = 1.0
-    else:
-        k = np.arange(n + 1)
-        row[:] = np.exp(_log_binomials(n) + k * math.log(x) + (n - k) * math.log1p(-x))
-    return row
+    return _row_triangle([n], x)[0]
 
 
 def _row_triangle(degrees: list[int], x: float) -> np.ndarray:
     """basis_row(m, x) for each m in degrees as the rows of one array, zero
     right of column m. Entry (m, k) is exp((logC(m, k) + k log x) +
-    (m - k) log(1 - x)): basis_row's operands and add order, so its bits.
+    (m - k) log(1 - x)), with the one-hot rows at x = 0 and x = 1.
     """
     x = _check_unit(x)
     m = np.asarray(degrees)[:, None]
@@ -189,9 +171,11 @@ def _row_triangle(degrees: list[int], x: float) -> np.ndarray:
 
 
 def _check_unit_array(xs) -> np.ndarray:
-    """xs as a float array clipped to [0, 1]; ValueError if an entry is
-    non-finite or further than _EPS outside."""
+    """xs as a 1-D float array clipped to [0, 1]; ValueError if it has
+    another shape or an entry is non-finite or further than _EPS outside."""
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"arguments must be a 1-D array, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise ValueError("arguments must be finite")
     if np.any(xs < -_EPS) or np.any(xs > 1.0 + _EPS):
@@ -201,42 +185,20 @@ def _check_unit_array(xs) -> np.ndarray:
 
 def basis_rows(n: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized basis rows: shape (len(xs), n+1); xs must lie in [0, 1]."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    xs = _check_unit_array(xs)
-    interior = (xs > 0.0) & (xs < 1.0)
-    if interior.all():
-        return _interior_rows(n, xs)
-    out = np.zeros((xs.size, n + 1))
-    if np.any(interior):
-        out[interior] = _interior_rows(n, xs[interior])
-    out[xs == 0.0, 0] = 1.0
-    out[xs == 1.0, n] = 1.0
-    return out
-
-
-def _interior_rows(n: int, xs: np.ndarray) -> np.ndarray:
-    """exp(logC(n, k) + k log x + (n - k) log(1 - x)) for 0 < x < 1, built in
-    one buffer; each element sees the same adds and multiplies as the
-    expression written out.
-    """
-    k = np.arange(n + 1)
-    xi = xs[:, None]
-    rows = k * np.log(xi)
-    rows += _log_binomials(n)
-    rows += (n - k) * np.log1p(-xi)
-    return np.exp(rows, out=rows)
+    return next(_degree_rows(n, xs))
 
 
 def _degree_rows(n: int, xs: np.ndarray):
-    """Yield basis_rows(m, xs) for m = n, n-1, ..., 0, with the same bits.
+    """Yield basis_rows(m, xs) for m = n, n-1, ..., 0.
 
-    a[:, k] = k log x and b[:, c] = (n - c) log(1 - x) are built once; degree
-    m adds logC(m, k) to a[:, k] and then b[:, n - m + k] = (m - k) log(1 - x),
-    the same operands in the same order as _interior_rows. Rows at x = 0
-    and x = 1 get 0 and -inf entries in a and b, whose sum exponentiates to
-    exactly the one-hot row. Each yielded array is a contiguous view of one
-    buffer that the next degree overwrites.
+    a[:, k] = k log x and b[:, c] = (n - c) log(1 - x); degree m adds
+    logC(m, k) to a[:, k] and then b[:, n - m + k] = (m - k) log(1 - x).
+    Rows at x = 0 and x = 1 get 0 and -inf entries in a and b, whose sum
+    exponentiates to exactly the one-hot row. Degree n is built in a itself,
+    so a caller that takes only the first row holds two (len(xs), n+1)
+    arrays, not three; a lower degree rebuilds a once and reuses degree n's
+    array as its buffer. Each yielded array is contiguous, and the next
+    degree overwrites it.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -251,8 +213,12 @@ def _degree_rows(n: int, xs: np.ndarray):
     zero, one = xs == 0.0, xs == 1.0
     a[zero], b[zero] = one_hot, 0.0
     a[one], b[one] = 0.0, one_hot[::-1]
-    buffer = np.empty(a.size)
-    for m in range(n, -1, -1):
+    a += _log_binomials(n)
+    a += b
+    yield np.exp(a, out=a)
+    buffer, a = a.reshape(-1), k * np.log(xi)
+    a[zero], a[one] = one_hot, 0.0
+    for m in range(n - 1, -1, -1):
         rows = buffer[: xs.size * (m + 1)].reshape(xs.size, m + 1)
         np.add(a[:, : m + 1], _log_binomials(m), out=rows)
         rows += b[:, n - m:]
@@ -304,12 +270,7 @@ def bernstein(f: Callable[[float], float], n: int, x: float) -> float:
 
     n = 0 uses the single-node convention: the constant f(0).
     """
-    if n == 0:
-        _check_unit(x)
-        return float(f(0.0))
-    nodes = np.arange(n + 1) / n
-    fvals = np.array([f(t) for t in nodes])
-    return float(basis_row(n, x) @ fvals)
+    return bernstein_shifted(f, n, x, UNIT_INTERVAL)
 
 
 def bernstein_shifted(f: Callable[[float], float], n: int, x: float, iv: Interval) -> float:
@@ -386,13 +347,7 @@ def c_tau(f: Callable[[float], float], tau: Transform1D, n: int, x: float) -> fl
     """Bernstein operator conjugated by tau on [0, 1]: nodes are pulled back
     through the inverse and the basis is evaluated at tau(x).
     """
-    tau.require_valid()
-    if n == 0:
-        _check_unit(x)
-        return float(f(tau.inverse(0.0)))
-    nodes = np.arange(n + 1) / n
-    fvals = np.array([f(tau.inverse(t)) for t in nodes])
-    return float(basis_row(n, _check_unit(tau.forward(x))) @ fvals)
+    return c_tau_shifted(f, tau, n, x, UNIT_INTERVAL)
 
 
 def c_tau_shifted(

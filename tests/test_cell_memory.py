@@ -1,8 +1,9 @@
 """What a large RMSE cell holds: the groups come from one sort with int32
 indices and the same content as the two-sort construction they replace, the
-calling thread is one of the `threads` that evaluate them, `rmse` squares
-in place with unchanged bits, and nonsense thread counts and degrees fail
-before any work.
+calling thread is one of the `threads` that evaluate them, the chord
+coordinates are finished in place, `rmse` squares in place with unchanged
+bits, reference_report takes both denominators from one sum, and nonsense
+thread counts and degrees fail before any work.
 """
 
 import math
@@ -80,6 +81,31 @@ def test_groups_match_on_random_inputs(count):
     assert_same_groups(rng.random(count), rng.random(count))
     assert_same_groups(rng.random(count), np.full(count, 0.5))
     assert_same_groups(np.full(count, 0.25), np.full(count, 0.75))
+
+
+def chord_coordinates_out_of_place(pts):
+    """_chord_coordinates as it was, one expression per array."""
+    x = np.clip(pts[:, 0], -1.0, 1.0)
+    y = pts[:, 1]
+    u = (x + 1.0) / 2.0
+    half = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    t = np.where(half > 1e-12, (np.divide(y, np.where(half > 1e-12, half, 1.0)) + 1.0) / 2.0, 0.5)
+    return u, np.clip(t, 0.0, 1.0)
+
+
+def test_chord_coordinates_keep_their_bits_in_less_memory():
+    for n in list(range(1, 30)) + [400]:
+        pts = ex.mesh_stancu_disk(n).points
+        for got, expected in zip(ex._chord_coordinates(pts), chord_coordinates_out_of_place(pts)):
+            assert got.tobytes() == expected.tobytes()
+    tracemalloc.start()  # on the last mesh, n = 400
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u, t = ex._chord_coordinates(pts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * (u.nbytes + t.nbytes)
 
 
 def test_groups_peak_and_keep_little_memory():
@@ -189,6 +215,17 @@ def test_rmse_keeps_its_bits(example):
             for denominator, denom in (("nominal", mesh.nominal_size), ("actual", len(mesh.points))):
                 expected = math.sqrt(math.fsum(sq) / denom)
                 assert ex.rmse(f, op, mesh, denominator=denominator) == expected
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_reference_report_matches_rmse(example):
+    f = ex.builtin(example)
+    for cell in ex.reference_report(example, [10, 20]):
+        op = ex.disk_operator(cell.operator_id, cell.n)
+        mesh = (ex.mesh_quadrant_disk(cell.n) if cell.operator_id == "Cbar"
+                else ex.mesh_stancu_disk(cell.n))
+        assert cell.computed == ex.rmse(f, op, mesh, denominator="nominal")
+        assert cell.computed_alt == ex.rmse(f, op, mesh, denominator="actual")
 
 
 # ---------------------------------------------------------------------------

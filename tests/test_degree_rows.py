@@ -1,10 +1,12 @@
 """The per-degree basis rows of the quadrant (Cbar) batch kernel, checked bit
 for bit: the row generator against basis_rows at every degree, and the
 kernel against the per-k basis_rows loop it replaced, at several thread
-counts. Also non-finite input to both row builders.
+counts. Also malformed input to both row builders, and the memory of one
+row.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +53,24 @@ def test_non_finite_arguments_raise(bad):
         next(_degree_rows(3, xs))
     with pytest.raises(ValueError, match="finite"):
         basis_rows(3, xs[::-1])
+    with pytest.raises(ValueError, match="1-D"):
+        basis_rows(3, [[0.1, 0.2, 0.3, 0.4]])
+    with pytest.raises(ValueError, match="1-D"):
+        basis_rows(3, 0.5)
+
+
+def test_basis_rows_peak_memory():
+    """The one row of basis_rows is built in place: no third row-sized array,
+    also when xs holds the endpoints."""
+    xs = np.concatenate(([0.0, 1.0], np.random.default_rng(3).random(510)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = basis_rows(320, xs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rows.nbytes
 
 
 def per_k_piecewise_batch(f, n, pts, threads=None):

@@ -14,7 +14,7 @@ from diskbern import disk
 from diskbern import experiments as ex
 from diskbern.bivariate import NodeSchedule
 from diskbern.disk import Quadrant, ball_stancu, quadrant_node_table
-from diskbern.univariate import basis_row, basis_rows
+from diskbern.univariate import basis_classical, basis_row, basis_rows
 
 
 def loop_mesh_stancu(n):
@@ -99,7 +99,7 @@ def test_quadrant_node_table_matches_loop(q):
     assert quadrant_node_table(f, n, q).tobytes() == expected.tobytes()
 
 
-def reference_basis_rows(n, xs):
+def reference_basis_rows(n, xs, log=np.log, log1p=np.log1p):
     """The whole-expression formula, scattered through the interior mask."""
     out = np.zeros((xs.size, n + 1))
     k = np.arange(n + 1)
@@ -107,10 +107,28 @@ def reference_basis_rows(n, xs):
     interior = (xs > 0.0) & (xs < 1.0)
     if np.any(interior):
         xi = xs[interior, None]
-        out[interior] = np.exp(logc + k * np.log(xi) + (n - k) * np.log1p(-xi))
+        out[interior] = np.exp(logc + k * log(xi) + (n - k) * log1p(-xi))
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, n] = 1.0
     return out
+
+
+def assert_scalar_rows_match_formula(n, xs):
+    """basis_row bit for bit against the formula with the logs of one x taken
+    by math.log and math.log1p, as the scalar rows take them; basis_classical
+    within 1 ulp of each entry's sum exponentiated by math.exp (numpy's exp
+    and math.exp differ by up to 1 ulp), at the first 12 x only, since it
+    builds a whole row per entry."""
+    expected = reference_basis_rows(n, xs, np.vectorize(math.log), np.vectorize(math.log1p))
+    for x, row in zip(xs.tolist(), expected):
+        assert basis_row(n, x).tobytes() == row.tobytes()
+    k = np.arange(n + 1)
+    logc = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)).tolist()
+    for x, row in zip(xs[:12].tolist(), expected):
+        if 0.0 < x < 1.0:
+            row = [math.exp(c + i * math.log(x) + (n - i) * math.log1p(-x)) for i, c in enumerate(logc)]
+        classical = [basis_classical(n, i, x) for i in range(n + 1)]
+        np.testing.assert_array_max_ulp(np.array(classical), np.array(row), maxulp=1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 120, 320])
@@ -118,6 +136,7 @@ def test_basis_rows_interior_matches_formula(n):
     xs = np.random.default_rng(n).random(300)
     xs[:3] = (1e-300, 0.5, 1.0 - 2.0**-53)
     assert basis_rows(n, xs).tobytes() == reference_basis_rows(n, xs).tobytes()
+    assert_scalar_rows_match_formula(n, xs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 120, 320])
@@ -127,6 +146,7 @@ def test_basis_rows_with_endpoints_matches_formula(n):
     xs[3::11] = 1.0
     rows = basis_rows(n, xs)
     assert rows.tobytes() == reference_basis_rows(n, xs).tobytes()
+    assert_scalar_rows_match_formula(n, xs)
     for xs in (np.array([]), np.array([0.0]), np.array([1.0]), np.array([1.0, 0.0])):
         assert basis_rows(n, xs).tobytes() == reference_basis_rows(n, xs).tobytes()
         assert basis_rows(n, xs).shape == (xs.size, n + 1)
