@@ -221,6 +221,16 @@ def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarr
     return total
 
 
+def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node abscissae x_k = a + (b - a) k / n, and the width phi2 - phi1
+    and low end phi1 of the node row at each, from one phi1 and one phi2
+    call per x_k."""
+    xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
+    curves = [(dom.phi1(v), dom.phi2(v)) for v in xk.tolist()]
+    width, low = np.array([(hi - lo, lo) for lo, hi in curves]).T  # hi - lo as in dom.width
+    return xk, width, low
+
+
 def stancu(
     f: Callable[[float, float], float],
     dom: CurvilinearDomain,
@@ -234,9 +244,7 @@ def stancu(
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
     outer = basis_row(n, dom.x_interval.to_unit(x))
-    xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
-    curves = [(dom.phi1(v), dom.phi2(v)) for v in xk.tolist()]
-    width, low = np.array([(hi - lo, lo) for lo, hi in curves]).T  # hi - lo as in dom.width
+    xk, width, low = _node_map(dom, n)
     table = _sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
     return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
 
@@ -244,12 +252,8 @@ def stancu(
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:
     """Node mesh (x_k, y_{k,j}) of the operator; y rows span [phi1, phi2]."""
     counts = sched.counts(n)
-    xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
-    rows = []
-    for k in range(n + 1):
-        nk = int(counts[k])
-        x = float(xk[k])
-        rows.append(dom.width(x) * np.arange(nk + 1) / nk + dom.phi1(x))
+    xk, width, low = _node_map(dom, n)
+    rows = (width[k] * np.arange(nk + 1) / nk + low[k] for k, nk in enumerate(counts.tolist()))
     return StancuNodes(n, sched, xk, tuple(rows))
 
 
@@ -315,8 +319,7 @@ def monomial_image(
             raise ValueError("y2 closed form requires the n-minus-k or k schedule")
         counts = sched.counts(n)
         outer = basis_row(n, iv.to_unit(x))
-        xk = iv.from_unit(np.arange(n + 1) / n)
-        d = np.array([diff(u) for u in xk])
+        _, d, _ = _node_map(dom, n)
         # second moment of the inner operator, summed with the exact n_k used
         # by the evaluation path (schedule values clipped to >= 1)
         correction = float(outer @ (d * d / counts))

@@ -14,8 +14,6 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import experiments as ex
 
 __all__ = ["main", "entry"]
@@ -52,11 +50,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"bad point {text!r}, expected x,y")
-    return float(parts[0]), float(parts[1])
+def _floats(name: str, form: str):
+    """argparse type for as many comma-separated floats as form has
+    fields; a malformed value is reported with its name and form."""
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(map(float, text.split(",")))
+        except ValueError:
+            values = ()
+        if len(values) != form.count(",") + 1:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}, expected {form}")
+        return values
+    return parse
 
 
 def _resolve_function(spec: str):
@@ -112,16 +117,10 @@ def cmd_eval(args) -> int:
 def _mesh_rows(mesh: ex.MeshSpec) -> Iterator[tuple]:
     """(x, y, k, j) of each chord-mesh point, or (x, y, quadrant, k, j) of
     each quadrant-mesh point, built _BLOCK points at a time."""
-    pts, n = mesh.points, mesh.n
-    if mesh.kind == "stancu":
-        rows, cols = ex._chord_indices(n)
-        segments = (((), np.full(n + 1, k), cols.ravel()) for k in rows.ravel().tolist())
-    else:
-        segments = (((q.name,), *ex._quadrant_indices(n, q, mesh.dedup)) for q in ex._QUADRANTS)
     a = 0
-    for prefix, ks, js in segments:  # points a, a+1, ... have these labels
+    for prefix, ks, js in mesh.label_segments():  # points a, a+1, ... have these labels
         for b in range(0, ks.size, _BLOCK):
-            x, y = pts[a + b:a + b + _BLOCK].T.tolist()
+            x, y = mesh.points[a + b:a + b + _BLOCK].T.tolist()
             yield from zip(x, y, *map(repeat, prefix),
                            ks[b:b + _BLOCK].tolist(), js[b:b + _BLOCK].tolist())
         a += ks.size
@@ -142,8 +141,8 @@ def cmd_mesh(args) -> int:
 
 def cmd_section(args) -> int:
     fid, f = _resolve_function(args.fn)
-    p0, p1 = args.segment
-    rows = ex.cross_section(args.op, f, args.n, segment=(p0, p1),
+    x0, y0, x1, y1 = args.segment
+    rows = ex.cross_section(args.op, f, args.n, segment=((x0, y0), (x1, y1)),
                             samples=args.samples, threads=args.threads)
     header = ["s", "x", "y", "f"] + [f"op_{n}" for n in args.n]
     path = _out_path(f"section_{args.op}_{fid}.csv", args.out)
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=_OPERATORS, required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point", type=_parse_point, required=True)
+    p.add_argument("--point", type=_floats("point", "x,y"), required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("mesh", help="emit a mesh as CSV")
@@ -185,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=_OPERATORS, required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--n", type=_parse_n_list, required=True)
-    p.add_argument("--segment", type=_parse_segment,
-                   default=((-1.0, 0.0), (1.0, 0.0)),
+    p.add_argument("--segment", type=_floats("segment", "x0,y0,x1,y1"),
+                   default=(-1.0, 0.0, 1.0, 0.0),
                    help="x0,y0,x1,y1 (default: x-axis diameter)")
     p.add_argument("--samples", type=_positive_int, default=801)
     p.add_argument("--out")
@@ -195,18 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_segment(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"bad segment {text!r}, expected x0,y0,x1,y1")
-    vals = [float(p) for p in parts]
-    return (vals[0], vals[1]), (vals[2], vals[3])
+def _attach_coordinates(argv: list[str]) -> list[str]:
+    """argv with "--point V" and "--segment V" joined into "--point=V" and
+    "--segment=V": argparse would take a V such as -0.5,0.1 for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--point", "--segment"):
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_coordinates(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,7 +35,10 @@ __all__ = [
     "quadrant_node_table",
 ]
 
+# Shared with the batch kernels in experiments: a row of width <= _EPS has
+# collapsed, and (x, y) is in the unit disk while x^2 + y^2 <= 1 + _SLACK.
 _EPS = 1e-12
+_SLACK = 1e-9
 
 
 class Quadrant(enum.Enum):
@@ -55,12 +58,12 @@ class Quadrant(enum.Enum):
         return self.value[1]
 
     def contains(self, x: float, y: float, tol: float = 1e-12) -> bool:
-        if x * x + y * y > 1.0 + 1e-9:
+        if x * x + y * y > 1.0 + _SLACK:
             return False
         return self.sx * x >= -tol and self.sy * y >= -tol
 
 
-def check_disk_point(x: float, y: float, tol: float = 1e-9):
+def check_disk_point(x: float, y: float, tol: float = _SLACK):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point ({x}, {y}) is not finite")
     if x * x + y * y > 1.0 + tol:
@@ -97,7 +100,7 @@ def simplex_bernstein(
     on the simplex; other schedules go through the Duffy parameterization
     with the degenerate corner x = 1 handled as the limit f(1, 0).
     """
-    if x < -_EPS or y < -_EPS or x + y > 1.0 + 1e-9:
+    if x < -_EPS or y < -_EPS or x + y > 1.0 + _SLACK:
         raise ValueError(f"point ({x}, {y}) outside the simplex")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -266,11 +269,8 @@ def quadrant_bernstein_type_via_transforms(
     return total
 
 
-_DISPATCH_ORDER = (Quadrant.B1, Quadrant.B2, Quadrant.B3, Quadrant.B4)
-
-
 def _dispatch_quadrant(x: float, y: float) -> Quadrant:
-    for q in _DISPATCH_ORDER:
+    for q in Quadrant:  # in definition order, B1 first
         if q.sx * x >= 0.0 and q.sy * y >= 0.0:
             return q
     raise AssertionError("unreachable")

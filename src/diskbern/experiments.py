@@ -12,11 +12,11 @@ import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .disk import Quadrant, check_f_values, quadrant_node_table
+from .disk import _EPS, _SLACK, Quadrant, check_f_values, quadrant_node_table
 from .univariate import _degree_rows, basis_rows
 
 __all__ = [
@@ -36,11 +36,9 @@ __all__ = [
     "reference_report",
 ]
 
-_EPS = 1e-12
-
 DEFAULT_N_LIST = (10, 20, 30, 40, 50, 60, 70, 80)
 
-_QUADRANTS = (Quadrant.B1, Quadrant.B2, Quadrant.B3, Quadrant.B4)
+_QUADRANTS = tuple(Quadrant)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +112,6 @@ def _threads(threads):
     return value
 
 
-def _chord_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, j) of the chord mesh as an open grid: k a column, j a row."""
-    idx = np.arange(n + 1)
-    return idx[:, None], idx[None, :]
-
-
 def _quadrant_indices(n: int, q: Quadrant, dedup: bool) -> tuple[np.ndarray, np.ndarray]:
     """(k, j), j <= n - k, of quadrant q's points in order of k, then j.
 
@@ -151,25 +143,25 @@ class MeshSpec:
     points: np.ndarray
     nominal_size: int
 
-    def label_columns(self) -> list[list]:
-        """The generating indices of the points as columns of Python values:
-        k and j for the chord mesh; quadrant name, k and j for the quadrant
-        mesh."""
+    def label_segments(self) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
+        """Runs of consecutive points as (prefix, k, j): the i-th point of a
+        run has the label prefix + (k[i], j[i]). The chord mesh has one run
+        per k with an empty prefix; the quadrant mesh has one run per
+        quadrant, prefixed by its name."""
         if self.kind == "stancu":
-            return [c.ravel().tolist() for c in np.broadcast_arrays(*_chord_indices(self.n))]
-        names, ks, js = [], [], []
-        for q in _QUADRANTS:
-            k, j = _quadrant_indices(self.n, q, self.dedup)
-            names += [q.name] * k.size
-            ks += k.tolist()
-            js += j.tolist()
-        return [names, ks, js]
+            j = np.arange(self.n + 1)
+            for k in range(self.n + 1):
+                yield (), np.full(self.n + 1, k), j
+        else:
+            for q in _QUADRANTS:
+                yield (q.name,), *_quadrant_indices(self.n, q, self.dedup)
 
     @property
     def labels(self) -> tuple[tuple, ...]:
         """Per point, (k, j) for the chord mesh and (quadrant, k, j) for the
         quadrant mesh, rebuilt on each access."""
-        return tuple(zip(*self.label_columns()))
+        return tuple(prefix + kj for prefix, k, j in self.label_segments()
+                     for kj in zip(k.tolist(), j.tolist()))
 
 
 def mesh_stancu_disk(n: int) -> MeshSpec:
@@ -179,7 +171,8 @@ def mesh_stancu_disk(n: int) -> MeshSpec:
     columns at x = +-1 collapsing to repeated points on the x axis.
     """
     n = _degree(n)
-    k, j = _chord_indices(n)
+    j = np.arange(n + 1)
+    k = j[:, None]
     pts = np.empty(((n + 1) ** 2, 2))
     x, y = (pts[:, c].reshape(n + 1, n + 1) for c in (0, 1))  # views into pts
     x[:] = (2 * k - n) / n
@@ -404,7 +397,7 @@ class DiskOperator:
         if not np.all(np.isfinite(pts)):
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise ValueError(f"mesh point index {bad} is not finite")
-        if np.any(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + 1e-9):
+        if np.any(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK):
             bad = int(np.argmax(pts[:, 0] ** 2 + pts[:, 1] ** 2))
             raise ValueError(f"mesh point index {bad} outside the unit disk")
         if len(pts) == 0:
@@ -477,6 +470,19 @@ def rmse(
     return math.sqrt(total / denom)
 
 
+def _cells(example_id: int, n_list: Sequence[int],
+           threads: int | None) -> Iterator[tuple[int, str, MeshSpec, float]]:
+    """(n, operator kind, mesh, fsum of squared errors) of each published
+    cell of one built-in function: per n, the piecewise quadrant operator
+    on the deduplicated quadrant mesh, then the chord-mesh disk operator."""
+    threads = _threads(threads)
+    f = builtin(example_id)
+    for n in n_list:
+        cases = (("Cbar", mesh_quadrant_disk(n, dedup=True)), ("Bstancu", mesh_stancu_disk(n)))
+        for kind, mesh in cases:
+            yield n, kind, mesh, _squared_error_sum(f, disk_operator(kind, n), mesh, threads)
+
+
 def run_example(
     example_id: int,
     n_list: Sequence[int] = DEFAULT_N_LIST,
@@ -485,20 +491,12 @@ def run_example(
     """RMSE of the piecewise quadrant operator and the chord-mesh disk
     operator for one built-in function over the published meshes.
     """
-    threads = _threads(threads)
-    f = builtin(example_id)
+    rows, sizes = {"Cbar": [], "Bstancu": []}, {"Cbar": [], "Bstancu": []}
+    for n, kind, mesh, total in _cells(example_id, n_list, threads):
+        rows[kind].append((n, math.sqrt(total / mesh.nominal_size)))
+        sizes[kind].append((n, len(mesh.points)))
     fid = f"example{example_id}"
-    rows_c, rows_b, sizes = [], [], []
-    for n in n_list:
-        qmesh = mesh_quadrant_disk(n, dedup=True)
-        smesh = mesh_stancu_disk(n)
-        rows_c.append((n, rmse(f, disk_operator("Cbar", n), qmesh, threads=threads)))
-        rows_b.append((n, rmse(f, disk_operator("Bstancu", n), smesh, threads=threads)))
-        sizes.append((n, len(qmesh.points)))
-    return (
-        RmseReport(fid, "Cbar", tuple(rows_c), tuple(sizes)),
-        RmseReport(fid, "Bstancu", tuple(rows_b), tuple((n, (n + 1) ** 2) for n in n_list)),
-    )
+    return tuple(RmseReport(fid, kind, tuple(rows[kind]), tuple(sizes[kind])) for kind in rows)
 
 
 # Reference RMSE values for the built-in examples over the default degrees,
@@ -563,21 +561,11 @@ def reference_report(
     disagreement under the nominal convention can be cross-checked against
     the alternative one.
     """
-    threads = _threads(threads)
-    f = builtin(example_id)
-    table = REFERENCE_RMSE[example_id]
-    cells = []
-    for n in n_list:
-        cases = (("Cbar", mesh_quadrant_disk(n, dedup=True)), ("Bstancu", mesh_stancu_disk(n)))
-        for (kind, mesh), reference in zip(cases, table[n]):
-            total = _squared_error_sum(f, disk_operator(kind, n), mesh, threads)
-            cells.append(ReferenceCell(
-                example_id, kind, n,
-                math.sqrt(total / mesh.nominal_size),
-                math.sqrt(total / len(mesh.points)),
-                reference,
-            ))
-    return cells
+    return [ReferenceCell(example_id, kind, n,
+                          math.sqrt(total / mesh.nominal_size),
+                          math.sqrt(total / len(mesh.points)),
+                          REFERENCE_RMSE[example_id][n][kind == "Bstancu"])  # (Cbar, Bstancu)
+            for n, kind, mesh, total in _cells(example_id, n_list, threads)]
 
 
 def cross_section(
@@ -599,7 +587,7 @@ def cross_section(
     if x0 == x1 and y0 == y1:
         raise ValueError("degenerate segment")
     for px, py in ((x0, y0), (x1, y1)):
-        if px * px + py * py > 1.0 + 1e-9:
+        if px * px + py * py > 1.0 + _SLACK:
             raise ValueError("segment endpoint outside the disk")
     s = np.linspace(0.0, 1.0, samples)
     pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))

@@ -253,16 +253,7 @@ def basis_argmax(n: int, k: int, iv: Interval) -> tuple[float, float]:
         raise ValueError("degree-0 basis has no unique maximum")
     if not 0 <= k <= n:
         raise ValueError(f"basis index {k} out of range [0, {n}]")
-    location = iv.width * k / n + iv.alpha
-    if k == 0 or k == n:
-        value = 1.0
-    else:
-        value = math.exp(
-            _log_binomials(n)[k]
-            + k * math.log(k / n)
-            + (n - k) * math.log((n - k) / n)
-        )
-    return location, float(value)
+    return iv.width * k / n + iv.alpha, basis_classical(n, k, k / n)
 
 
 def bernstein(f: Callable[[float], float], n: int, x: float) -> float:
@@ -353,12 +344,9 @@ def c_tau(f: Callable[[float], float], tau: Transform1D, n: int, x: float) -> fl
 def c_tau_shifted(
     f: Callable[[float], float], tau: Transform1D, n: int, x: float, iv: Interval
 ) -> float:
-    """Shifted variant of c_tau on an arbitrary interval."""
+    """Shifted variant of c_tau on an arbitrary interval: the Bernstein
+    operator of f o tau^-1 on iv, evaluated at tau(x)."""
     tau.require_valid()
-    if n == 0:
-        if not iv.contains(x):
-            raise ValueError(f"{x} outside [{iv.alpha}, {iv.beta}]")
-        return float(f(tau.inverse(iv.alpha)))
-    nodes = iv.from_unit(np.arange(n + 1) / n)
-    fvals = np.array([f(tau.inverse(t)) for t in nodes])
-    return float(basis_shifted_row(n, tau.forward(x), iv) @ fvals)
+    if n == 0 and not iv.contains(x):
+        raise ValueError(f"{x} outside [{iv.alpha}, {iv.beta}]")
+    return bernstein_shifted(lambda t: f(tau.inverse(t)), n, tau.forward(x), iv)

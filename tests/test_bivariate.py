@@ -73,8 +73,11 @@ class TestNodeSchedule:
     def test_counts(self):
         n = 6
         assert list(NodeSchedule.constant(4).counts(n)) == [4] * 7
-        assert list(NodeSchedule.n_minus_k().counts(n)) == [6, 5, 4, 3, 2, 1, 1]
-        assert list(NodeSchedule.k_index().counts(n)) == [1, 1, 2, 3, 4, 5, 6]
+        # both substitute n_k = 1 for the n_k = 0 at one end, and say so
+        with pytest.warns(UserWarning, match="'n-minus-k' yields n_k=0"):
+            assert list(NodeSchedule.n_minus_k().counts(n)) == [6, 5, 4, 3, 2, 1, 1]
+        with pytest.warns(UserWarning, match="'k' yields n_k=0"):
+            assert list(NodeSchedule.k_index().counts(n)) == [1, 1, 2, 3, 4, 5, 6]
 
     def test_clipping_warns(self):
         with pytest.warns(UserWarning):

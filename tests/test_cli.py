@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,31 @@ class TestEval:
     def test_bad_subcommand_usage(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code != 0
+
+    # argparse takes a lone token such as -0.5,0.1 for an option; main
+    # joins it to --point, so both spellings give the same output.
+    @pytest.mark.parametrize("point", ["-0.5,0.1", "-0.3,-0.2", "0.4,-0.6", "-0,-0"])
+    def test_negative_point_as_its_own_token(self, point, capsys):
+        argv = ["eval", "--op", "Cbar", "--fn", "example1", "--n", "8"]
+        spaced = run(argv + ["--point", point], capsys)
+        assert spaced == run(argv + [f"--point={point}"], capsys)
+        assert spaced[0] == 0 and spaced[2] == ""
+
+    def test_negative_point_from_sys_argv(self, capsys, monkeypatch):
+        argv = ["eval", "--op", "Bbar", "--fn", "example2", "--n", "6"]
+        monkeypatch.setattr(sys, "argv", ["diskbern"] + argv + ["--point", "-0.5,0.1"])
+        assert main() == 0
+        spaced = capsys.readouterr().out
+        assert run(argv + ["--point=-0.5,0.1"], capsys) == (0, spaced, "")
+
+    @pytest.mark.parametrize("point", ["1,2,3", "a,b", "-0.5", "-0.5,", ""])
+    def test_malformed_point_exits_2(self, point, capsys):
+        code, out, err = run(
+            ["eval", "--op", "Cbar", "--fn", "example1", "--n", "5", "--point", point], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "expected x,y" in err
 
 
 class TestMesh:
@@ -251,6 +277,26 @@ class TestSection:
         first = rows[0].split(",")
         assert float(first[1]) == pytest.approx(0.0)
         assert float(first[2]) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("segment", ["-0.6,-0.7,0.5,0.8", "-1,0,0,-1"])
+    def test_negative_segment_as_its_own_token(self, segment, tmp_path, capsys):
+        argv = ["section", "--op", "Cbar", "--fn", "example3", "--n", "4,9", "--samples", "7"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run(argv + ["--segment", segment, "--out", str(spaced)], capsys)[0] == 0
+        assert run(argv + [f"--segment={segment}", "--out", str(joined)], capsys)[0] == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        x0, y0 = map(float, segment.split(",")[:2])
+        first = spaced.read_text().splitlines()[1].split(",")
+        assert (float(first[1]), float(first[2])) == (x0, y0)
+
+    @pytest.mark.parametrize("segment", ["-1,0,1", "0,0,1,x", "-1,0,1,0,0"])
+    def test_malformed_segment_exits_2(self, segment, tmp_path, capsys):
+        out_file = tmp_path / "section.csv"
+        code, _, err = run(["section", "--op", "Cbar", "--fn", "example1", "--n", "5",
+                            "--segment", segment, "--out", str(out_file)], capsys)
+        assert code == 2
+        assert "expected x0,y0,x1,y1" in err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("op", ["Cbar", "Bstancu-disk"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

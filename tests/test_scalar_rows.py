@@ -309,6 +309,19 @@ def parent_stancu(f, dom, n, sched, x, y):
     return biv._nested_sum(outer, biv._inner_t(dom, x, y), counts, table)
 
 
+def parent_stancu_nodes(dom, n, sched):
+    """bivariate.stancu_nodes as it was before it shared stancu's node map:
+    dom.width, then dom.phi1 again, at every x_k."""
+    counts = sched.counts(n)
+    xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
+    rows = []
+    for k in range(n + 1):
+        nk = int(counts[k])
+        x = float(xk[k])
+        rows.append(dom.width(x) * np.arange(nk + 1) / nk + dom.phi1(x))
+    return xk, rows
+
+
 def counted_domain(dom):
     """dom with curves that count their calls, the count reset after the
     domain's own validation grid."""
@@ -343,6 +356,24 @@ def test_bivariate_stancu_calls_each_curve_once_per_node_abscissa(dom, n):
         calls[0] = 0
         parent_stancu(ex.builtin(1), counted, n, sched, x, y)
         assert calls[0] == 3 * (n + 1) + 5 == 128
+
+
+@pytest.mark.parametrize("dom", [DISK, BENT], ids=["disk", "bent"])
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize("sched", [NodeSchedule.n_minus_k(), NodeSchedule.constant(7)],
+                         ids=["n-minus-k", "constant"])
+def test_stancu_nodes_call_each_curve_once_per_node_abscissa(dom, n, sched):
+    counted, calls = counted_domain(dom)
+    nodes = biv.stancu_nodes(counted, n, sched)
+    assert calls[0] == 2 * (n + 1)
+    xk, rows = parent_stancu_nodes(dom, n, sched)
+    assert nodes.x_nodes.tobytes() == xk.tobytes()
+    assert len(nodes.y_nodes) == len(rows) == n + 1
+    for row, expected in zip(nodes.y_nodes, rows):
+        assert row.tobytes() == expected.tobytes()
+    calls[0] = 0
+    parent_stancu_nodes(counted, n, sched)
+    assert calls[0] == 3 * (n + 1)
 
 
 def test_check_f_values_importable_from_disk():

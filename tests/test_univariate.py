@@ -142,6 +142,17 @@ class TestShiftedBasis:
             assert val == pytest.approx(max(vals), rel=1e-5)
             assert basis_shifted(n, k, loc, self.IV) == pytest.approx(val, rel=1e-12)
 
+    def test_argmax_value_is_basis_classical_at_k_over_n(self):
+        for n in range(1, 401):
+            for k in range(n + 1):
+                assert basis_argmax(n, k, self.IV)[1] == basis_classical(n, k, k / n)
+
+    def test_argmax_rejects_degree_zero_and_bad_index(self):
+        with pytest.raises(ValueError, match="no unique maximum"):
+            basis_argmax(0, 0, self.IV)
+        with pytest.raises(ValueError, match="out of range"):
+            basis_argmax(4, 5, self.IV)
+
     def test_out_of_interval(self):
         with pytest.raises(ValueError):
             basis_shifted(3, 1, 5.0, self.IV)
