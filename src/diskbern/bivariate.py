@@ -8,9 +8,11 @@ x-dependent node count) inside one in x.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -188,21 +190,69 @@ def check_f_values(values: np.ndarray, point_at: Callable[[int], tuple[float, fl
         raise ValueError(f"f{point_at(i)} = {values.flat[i]} is not finite")
 
 
+# The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
+# domain or quadrant[, live-row mask]) and evicted least recently used once
+# they hold more than _NODE_TABLE_BYTES. f is treated as a pure function of
+# (x, y): a repeated key reuses the table instead of calling f again.
+_NODE_TABLE_BYTES = 8 << 20
+_node_tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_node_table_bytes = 0
+_node_table_lock = threading.Lock()
+
+
+def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The node table stored under key, or build() when there is none.
+
+    A built table is made read-only and stored; it is only stored when
+    build returned, so a table whose f raised or was not finite never is.
+    A key that cannot be hashed (an unhashable f) is built on every call.
+    The table is built outside the lock, so two threads that miss the same
+    key at once may each build it; both tables have the same bits.
+    """
+    global _node_table_bytes
+    try:
+        hash(key)
+    except TypeError:
+        return build()
+    with _node_table_lock:
+        table = _node_tables.get(key)
+        if table is not None:
+            _node_tables.move_to_end(key)
+            return table
+    table = build()
+    table.flags.writeable = False
+    if table.nbytes > _NODE_TABLE_BYTES:
+        return table
+    with _node_table_lock:
+        if key not in _node_tables:
+            _node_tables[key] = table
+            _node_table_bytes += table.nbytes
+            while _node_table_bytes > _NODE_TABLE_BYTES:
+                _node_table_bytes -= _node_tables.popitem(last=False)[1].nbytes
+    return table
+
+
 def _sample_rows(f: Callable[[float, float], float], outer: np.ndarray, counts: np.ndarray,
-                 nodes: Callable) -> np.ndarray:
+                 nodes: Callable, key: tuple[Hashable, ...]) -> np.ndarray:
     """f at the nodes of the rows k with nonzero outer weight, as a table
     that is zero elsewhere. nodes(k, j, n_k), given k and n_k as columns and
     j as a row, returns the node coordinates (x, y); f gets them as Python
-    floats, in order of k, then j.
+    floats, in order of k, then j. key names the operator's node set, and
+    the table is read through _node_table under (f, *key, live-row mask).
     """
-    k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
-    live = (j <= nk) & (outer != 0.0)[:, None]
-    px, py = (np.broadcast_to(c, live.shape)[live].tolist() for c in nodes(k, j, nk))
-    values = np.fromiter(map(f, px, py), float, len(px))
-    check_f_values(values, lambda i: (px[i], py[i]))
-    table = np.zeros(live.shape)
-    table[live] = values
-    return table
+    live_rows = outer != 0.0
+
+    def build() -> np.ndarray:
+        k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
+        live = (j <= nk) & live_rows[:, None]
+        px, py = (np.broadcast_to(c, live.shape)[live].tolist() for c in nodes(k, j, nk))
+        values = np.fromiter(map(f, px, py), float, len(px))
+        check_f_values(values, lambda i: (px[i], py[i]))
+        table = np.zeros(live.shape)
+        table[live] = values
+        return table
+
+    return _node_table((f, *key, live_rows.tobytes()), build)
 
 
 def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarray) -> float:
@@ -244,8 +294,12 @@ def stancu(
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
     outer = basis_row(n, dom.x_interval.to_unit(x))
-    xk, width, low = _node_map(dom, n)
-    table = _sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
+
+    def nodes(k, j, nk):
+        xk, width, low = _node_map(dom, n)
+        return xk[k], width[k] * j / nk + low[k]
+
+    table = _sample_rows(f, outer, counts, nodes, ("stancu", n, sched, dom))
     return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
 
 

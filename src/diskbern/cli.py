@@ -195,11 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_coordinates(argv: list[str]) -> list[str]:
-    """argv with "--point V" and "--segment V" joined into "--point=V" and
-    "--segment=V": argparse would take a V such as -0.5,0.1 for an option."""
+    """argv with "--point V" and "--segment V", or an abbreviation such as
+    "--poi V", joined into one token "--point=V" or "--poi=V": argparse
+    would take a V such as -0.5,0.1 for an option. argparse resolves or
+    rejects a joined abbreviation as it would the split one, so "--s",
+    which also abbreviates --samples, still exits 2."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--point", "--segment"):
+        last = out[-1] if out else ""
+        if len(last) > 2 and ("--point".startswith(last) or "--segment".startswith(last)):
             arg = f"{out.pop()}={arg}"
         out.append(arg)
     return out

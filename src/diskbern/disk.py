@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bivariate import NodeSchedule, _nested_sum, _sample_rows, check_f_values
+from .bivariate import NodeSchedule, _nested_sum, _node_table, _sample_rows, check_f_values
 from .univariate import Interval, basis_row, log_factorials
 
 __all__ = [
@@ -83,7 +83,8 @@ def square_bernstein(
     counts = sched.counts(n)
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
-    table = _sample_rows(f, px, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk))
+    table = _sample_rows(f, px, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk),
+                         ("square", n, sched))
     return _nested_sum(px, ty, counts, table)
 
 
@@ -116,7 +117,8 @@ def simplex_bernstein(
     counts = sched.counts(n)
     px = basis_row(n, min(x, 1.0))
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
-    table = _sample_rows(f, px, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)))
+    table = _sample_rows(f, px, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
+                         ("simplex", n, sched))
     return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
 
 
@@ -164,7 +166,7 @@ def ball_stancu(
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
     table = _sample_rows(f, px, counts, lambda k, j, nk: (
-        (2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n)))
+        (2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n)), ("ball", n, sched))
     return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
 
 
@@ -182,6 +184,11 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
         table[k, : n - k + 1] = [f(xk, sy * r) for r in roots[: n - k + 1]]
     check_f_values(table, lambda i: (sx * roots[i // (n + 1)], sy * roots[i % (n + 1)]))
     return table
+
+
+def _memo_quadrant_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
+    """quadrant_node_table(f, n, q), read through the scalar node-table memo."""
+    return _node_table((f, "quadrant", n, q), lambda: quadrant_node_table(f, n, q))
 
 
 def _closed_form_value(table: np.ndarray, n: int, x: float, y: float) -> float:
@@ -202,7 +209,7 @@ def quadrant_stancu(
     check_disk_point(x, y)
     if not q.contains(x, y):
         raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
-    return _closed_form_value(quadrant_node_table(f, n, q), n, x, y)
+    return _closed_form_value(_memo_quadrant_table(f, n, q), n, x, y)
 
 
 # The quadrant operator built from per-quadrant monotone transforms of the
@@ -312,7 +319,7 @@ def axis_continuity_check(
         raise KeyError(which)
     # Both constructions evaluate the same closed form, so each quadrant's
     # node table is built once and shared by every axis point.
-    tables = {q: quadrant_node_table(f, n, q) for q in Quadrant}
+    tables = {q: _memo_quadrant_table(f, n, q) for q in Quadrant}
     rs = np.linspace(0.0, 1.0, samples + 1)[1:] if samples > 1 else np.array([1.0])
     rs = np.concatenate(([0.0], rs))
     worst = 0.0

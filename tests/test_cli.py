@@ -82,6 +82,9 @@ class TestEval:
         spaced = run(argv + ["--point", point], capsys)
         assert spaced == run(argv + [f"--point={point}"], capsys)
         assert spaced[0] == 0 and spaced[2] == ""
+        for option in ("--poi", "--p"):  # abbreviations argparse accepts
+            assert run(argv + [option, point], capsys) == spaced
+            assert run(argv + [f"{option}={point}"], capsys) == spaced
 
     def test_negative_point_from_sys_argv(self, capsys, monkeypatch):
         argv = ["eval", "--op", "Bbar", "--fn", "example2", "--n", "6"]
@@ -285,9 +288,24 @@ class TestSection:
         assert run(argv + ["--segment", segment, "--out", str(spaced)], capsys)[0] == 0
         assert run(argv + [f"--segment={segment}", "--out", str(joined)], capsys)[0] == 0
         assert spaced.read_bytes() == joined.read_bytes()
+        for option in ("--seg", "--se"):  # abbreviations argparse accepts
+            for form in ([option, segment], [f"{option}={segment}"]):
+                assert run(argv + form + ["--out", str(joined)], capsys)[0] == 0
+                assert spaced.read_bytes() == joined.read_bytes()
         x0, y0 = map(float, segment.split(",")[:2])
         first = spaced.read_text().splitlines()[1].split(",")
         assert (float(first[1]), float(first[2])) == (x0, y0)
+
+    @pytest.mark.parametrize("form", [["--s", "-0.6,-0.7,0.5,0.8"], ["--s=-0.6,-0.7,0.5,0.8"]],
+                             ids=["spaced", "joined"])
+    def test_ambiguous_abbreviation_exits_2(self, form, tmp_path, capsys):
+        # --s abbreviates both --segment and --samples
+        out_file = tmp_path / "section.csv"
+        code, _, err = run(["section", "--op", "Cbar", "--fn", "example1", "--n", "5", *form,
+                            "--out", str(out_file)], capsys)
+        assert code == 2
+        assert "ambiguous option" in err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("segment", ["-1,0,1", "0,0,1,x", "-1,0,1,0,0"])
     def test_malformed_segment_exits_2(self, segment, tmp_path, capsys):

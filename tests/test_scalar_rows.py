@@ -1,10 +1,21 @@
 """The scalar nested-Bernstein evaluator, checked bit for bit: the row
 triangle against basis_row at every degree, and each scalar operator against
 the per-k basis_row loop it replaced (kept here as the reference), with the
-same calls of f in the same order. Also non-finite f and degrees below 1.
+same calls of f in the same order. Also non-finite f, degrees below 1 and
+the node-table memo: a repeated call reuses the table, a call at another
+live-row mask or with an unhashable f samples again, the memo stays under
+its byte bound and threads read it safely.
 """
 
+import importlib.util
 import math
+import random
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -305,7 +316,8 @@ def parent_stancu(f, dom, n, sched, x, y):
     outer = basis_row(n, dom.x_interval.to_unit(x))
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
     width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
-    table = biv._sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]))
+    table = biv._sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
+                             ("parent_stancu", n, sched, dom))
     return biv._nested_sum(outer, biv._inner_t(dom, x, y), counts, table)
 
 
@@ -343,13 +355,15 @@ def counted_domain(dom):
 def test_bivariate_stancu_calls_each_curve_once_per_node_abscissa(dom, n):
     counted, calls = counted_domain(dom)
     sched = NodeSchedule.n_minus_k()
-    for x, y in [(dom.a + 0.3 * (dom.b - dom.a), dom.phi1(dom.a + 0.3 * (dom.b - dom.a)) + 0.1),
-                 ((dom.a + dom.b) / 2, dom.phi2((dom.a + dom.b) / 2))]:
+    for hit, (x, y) in enumerate([
+            (dom.a + 0.3 * (dom.b - dom.a), dom.phi1(dom.a + 0.3 * (dom.b - dom.a)) + 0.1),
+            ((dom.a + dom.b) / 2, dom.phi2((dom.a + dom.b) / 2))]):
         for e in (1, 3):
             calls[0] = 0
             value = biv.stancu(ex.builtin(e), counted, n, sched, x, y)
-            # phi1 and phi2 at each x_k, two in contains and three in _inner_t
-            assert calls[0] == 2 * (n + 1) + 5
+            # two in contains and three in _inner_t, and on a miss (the first
+            # point) phi1 and phi2 at each x_k; the second point reuses the table
+            assert calls[0] == (5 if hit else 2 * (n + 1) + 5)
             expected = parent_stancu(ex.builtin(e), dom, n, sched, x, y)
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
     if n == 40:
@@ -396,14 +410,17 @@ SCALAR_OPS = {
     "bivariate_stancu": lambda f, n: biv.stancu(f, DISK, n, NodeSchedule.constant(3), 0.1, 0.1),
     "piecewise_stancu_disk": lambda f, n: disk.piecewise_stancu_disk(f, n, 0.1, 0.1),
     "quadrant_stancu": lambda f, n: disk.quadrant_stancu(f, Quadrant.B1, n, 0.1, 0.1),
+    "axis_continuity_check": lambda f, n: disk.axis_continuity_check("stancu", f, n, samples=4),
 }
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", list(SCALAR_OPS))
 def test_non_finite_f_raises(name, value):
-    with pytest.raises(ValueError, match="is not finite"):
-        SCALAR_OPS[name](const(value), 3)
+    f = const(value)
+    for _ in range(2):  # a table that failed the check was not stored
+        with pytest.raises(ValueError, match="is not finite"):
+            SCALAR_OPS[name](f, 3)
 
 
 def test_non_finite_f_message_names_the_point():
@@ -414,10 +431,22 @@ def test_non_finite_f_message_names_the_point():
 
 
 def test_f_at_a_node_without_weight_is_not_called():
-    # x = -1 gives the outer row weight only at k = 0, so a NaN elsewhere is never seen
-    f = lambda x, y: 2.0 if x == -1.0 else math.nan
-    assert disk.ball_stancu(f, 6, NodeSchedule.constant(3), -1.0, 0.0) == 2.0
-    assert math.isfinite(disk.square_bernstein(f, 6, NodeSchedule.constant(3), -1.0, 0.3))
+    # x = -1 gives the outer row weight only at k = 0, so a NaN elsewhere is never
+    # seen. The table stored there holds row 0 alone; an interior point weights
+    # every row, so after or before that call, with the same f, it samples them
+    # all and sees the NaN.
+    sched = NodeSchedule.constant(3)
+    for order in ([True, False, True], [False, True, True]):  # at x = -1 first, or last
+        f = lambda x, y: 2.0 if x == -1.0 else math.nan
+        for at_edge in order:
+            if at_edge:
+                assert disk.ball_stancu(f, 6, sched, -1.0, 0.0) == 2.0
+                assert math.isfinite(disk.square_bernstein(f, 6, sched, -1.0, 0.3))
+                continue
+            with pytest.raises(ValueError, match="is not finite"):
+                disk.ball_stancu(f, 6, sched, 0.2, 0.0)
+            with pytest.raises(ValueError, match="is not finite"):
+                disk.square_bernstein(f, 6, sched, 0.2, 0.3)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -435,3 +464,134 @@ def test_degree_below_one_raises_in_node_table_and_axis_check(n):
         disk.axis_continuity_check("stancu", ex.builtin(1), n)
     with pytest.raises(ValueError, match="n must be >= 1"):
         NodeSchedule.constant(3).counts(n)
+
+
+# ---------------------------------------------------------------------------
+# the node-table memo
+
+@dataclass
+class Unhashable:
+    """A recording callable that cannot be hashed: a dataclass with the
+    default eq and no frozen sets __hash__ to None."""
+
+    f: Callable
+    calls: list = field(default_factory=list)
+
+    def __call__(self, x, y):
+        self.calls.append((x, y))
+        return self.f(x, y)
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("hashable", [True, False], ids=["hashable", "unhashable"])
+@pytest.mark.parametrize("name", list(SCALAR_OPS))
+def test_repeated_call_reuses_the_node_table(name, hashable):
+    if hashable:
+        g, calls = recording(ex.builtin(3))
+    else:
+        g = Unhashable(ex.builtin(3))
+        calls = g.calls
+    first = SCALAR_OPS[name](g, 5)
+    sampled = list(calls)
+    assert sampled
+    assert bits(SCALAR_OPS[name](g, 5)) == bits(first)
+    # the n-minus-k simplex is the multinomial sum, which has no node table
+    memoized = hashable and name != "simplex_multinomial"
+    assert calls[len(sampled):] == ([] if memoized else sampled)
+
+
+def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch):
+    n, table_bytes = 5, 6 * 6 * 8  # a quadrant table at n = 5 holds 21 nodes
+    monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", 3 * table_bytes)
+    fs = [recording(const(float(i))) for i in range(5)]
+
+    def f_calls(i):
+        g, calls = fs[i]
+        before = len(calls)
+        assert disk.quadrant_stancu(g, Quadrant.B1, n, 0.1, 0.1) == float(i)
+        assert biv._node_table_bytes == sum(t.nbytes for t in biv._node_tables.values())
+        assert biv._node_table_bytes <= biv._NODE_TABLE_BYTES
+        return len(calls) - before
+
+    def stored():
+        return [[g for g, _ in fs].index(key[0]) for key in biv._node_tables]
+
+    assert [f_calls(i) for i in range(4)] == [21] * 4
+    assert stored() == [1, 2, 3]  # the first table went first
+    assert f_calls(1) == 0  # a hit makes table 1 the most recent ...
+    assert f_calls(4) == 21  # ... so table 2 goes next
+    assert stored() == [3, 1, 4]
+    assert f_calls(0) == 21
+    assert stored() == [1, 4, 0]
+    assert all(not t.flags.writeable for t in biv._node_tables.values())
+
+    # a table larger than the bound is used but not stored
+    monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", table_bytes - 1)
+    g, calls = recording(ex.builtin(2))
+    values = [disk.quadrant_stancu(g, Quadrant.B2, n, -0.3, 0.4) for _ in range(2)]
+    assert bits(values[0]) == bits(values[1])
+    assert len(calls) == 2 * 21
+    assert stored() == [1, 4, 0]
+
+
+def test_threads_reading_the_memo_give_the_serial_bits(monkeypatch):
+    n, f = 40, ex.builtin(4)
+    ops = [lambda x, y: disk.piecewise_stancu_disk(f, n, x, y),
+           lambda x, y: disk.ball_stancu(f, n, NodeSchedule.constant(n), x, y),
+           lambda x, y: biv.stancu(f, DISK, n, NodeSchedule.n_minus_k(), x, y)]
+    jobs = [(op, x, y) for _ in range(3) for x, y in disk_points() for op in ops]
+    serial = [bits(op(x, y)) for op, x, y in jobs]
+    stored = list(biv._node_tables)
+    monkeypatch.setattr(biv, "_node_tables", OrderedDict())
+    monkeypatch.setattr(biv, "_node_table_bytes", 0)
+    # switch threads often, so that misses of one key overlap
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(op, x, y) for op, x, y in jobs]
+            threaded = [bits(fut.result(timeout=60)) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert set(biv._node_tables) == set(stored)
+    assert biv._node_table_bytes == sum(t.nbytes for t in biv._node_tables.values())
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pointwise_scalar_ops_sample_each_node_table_once():
+    """The scalar half of a benchmark pointwise pass, each built-in wrapped
+    once: f is called once per node of each distinct table, not per op."""
+    wl = _perfbench_workloads()
+    n = wl.SCALAR_N
+    const, n_minus_k = NodeSchedule.constant(n), NodeSchedule.n_minus_k()
+    counted = {e: recording(ex.builtin(e)) for e in (1, 2, 3, 4)}
+    rng = random.Random(41)
+    quadrant_tables, examples = set(), set()
+    for _ in range(wl.SCALAR_POINTS):
+        x, y = wl.disk_point(rng, 0.98)
+        e = rng.randint(1, 4)
+        f = counted[e][0]
+        disk.piecewise_stancu_disk(f, n, x, y)
+        disk.ball_stancu(f, n, const, x, y)
+        biv.stancu(f, wl.DISK_DOMAIN, n, n_minus_k, x, y)
+        quadrant_tables.add((e, disk._dispatch_quadrant(x, y)))
+        examples.add(e)
+    # 861, 1681 and 862 nodes at n = 40; the n-minus-k row k = n has n_k = 1
+    quadrant_nodes = (n + 1) * (n + 2) // 2
+    const_nodes, n_minus_k_nodes = (int((s.counts(n) + 1).sum()) for s in (const, n_minus_k))
+    expected = (len(quadrant_tables) * quadrant_nodes
+                + len(examples) * (const_nodes + n_minus_k_nodes))
+    assert sum(len(calls) for _, calls in counted.values()) == expected
+    assert (quadrant_nodes, const_nodes, n_minus_k_nodes) == (861, 1681, 862)
