@@ -203,8 +203,9 @@ _node_table_lock = threading.Lock()
 def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
     """The node table stored under key, or build() when there is none.
 
-    A built table is made read-only and stored; it is only stored when
-    build returned, so a table whose f raised or was not finite never is.
+    A built table is made read-only and stored unless it alone is larger
+    than the bound. It is only stored when build returned, so a table
+    whose f raised or was not finite never is.
     A key that cannot be hashed (an unhashable f) is built on every call.
     The table is built outside the lock, so two threads that miss the same
     key at once may each build it; both tables have the same bits.
