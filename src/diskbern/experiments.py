@@ -16,7 +16,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .disk import _EPS, _SLACK, Quadrant, check_f_values, quadrant_node_table
+from .bivariate import _node_table
+from .disk import _EPS, _SLACK, Quadrant, _memo_quadrant_table, check_f_values
 from .univariate import _degree_rows, basis_rows
 
 __all__ = [
@@ -218,10 +219,17 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
 
 _ROWS = 512
 
-# Points whose u and t rows _chord_disk_batch gathers at once. Each point's
-# dot product runs on its own, so the block size changes no bits; a small
-# block keeps the two gathered (block, n+1) copies per thread small.
+# Points whose rows _chord_disk_batch gathers at once. Each point's dot
+# product runs on its own, so the block size changes no bits; a small block
+# keeps the gathered (block, n+1) copies per thread small.
 _GATHER = 128
+
+# Points per run of equal u, on average over a group, from which
+# _chord_disk_batch contracts each run with its one u row instead of
+# gathering a u row per point. Mesh groups have runs of about n points;
+# off-mesh points (sections, eval) mostly have runs of one, where a call
+# per run costs more than the gather it saves.
+_RUN = 32
 
 
 @dataclass(frozen=True)
@@ -272,12 +280,13 @@ def _groups(u: np.ndarray, t: np.ndarray) -> list[_Group]:
 
 
 def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Group],
-                     count: int, threads: int | None) -> np.ndarray:
-    """Values of every group, in point order. With threads = T > 1 the
-    calling thread and T - 1 pool workers take groups from one shared
-    iterator; each group's values go straight to its own points, so the
+                     shape: int | tuple[int, ...], threads: int | None) -> np.ndarray:
+    """Values of every group, in point order, in an array of the given
+    shape whose last axis is the points. With threads = T > 1 the calling
+    thread and T - 1 pool workers take groups from one shared iterator, in
+    list order; each group's values go straight to its own points, so the
     output is the same for every T."""
-    out = np.empty(count)
+    out = np.empty(shape)
     todo = iter(groups)
     lock = threading.Lock()
 
@@ -287,7 +296,7 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
                 g = next(todo, None)
             if g is None:
                 return
-            out[g.points] = evaluate(g)
+            out[..., g.points] = evaluate(g)
 
     threads = min(threads or 1, len(groups))
     if threads <= 1:
@@ -299,6 +308,28 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
             for h in helpers:
                 h.result()
     return out
+
+
+class _Shared:
+    """A value built by the first of its users that asks for it and dropped
+    once every user has released it."""
+
+    def __init__(self, build: Callable[[], np.ndarray], users: int):
+        self._build, self._users = build, users
+        self._value = None
+        self._lock = threading.Lock()
+
+    def get(self) -> np.ndarray:
+        with self._lock:
+            if self._value is None:
+                self._value = self._build()
+            return self._value
+
+    def release(self) -> None:
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                self._value = None
 
 
 def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,33 +349,70 @@ def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.clip(t, 0.0, 1.0, out=t)
 
 
+def _chord_node_table(f: Callable[[float, float], float], n: int) -> np.ndarray:
+    """f at the chord-disk nodes ((2k-n)/n, (2j-n)/n * 2 sqrt(k(n-k))/n) as
+    an (n+1, n+1) table, read through the node-table memo."""
+
+    def build() -> np.ndarray:
+        idx = np.arange(n + 1)
+        xk = ((2 * idx - n) / n).tolist()
+        yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()
+        fnode = np.empty((n + 1, n + 1))
+        for k in range(n + 1):
+            fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
+        check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
+        return fnode
+
+    return _node_table((f, "chord", n), build)
+
+
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
                       pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points."""
-    idx = np.arange(n + 1)
-    xk = ((2 * idx - n) / n).tolist()
-    yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()
-    fnode = np.empty((n + 1, n + 1))
-    for k in range(n + 1):
-        fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
-    check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
+    """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points.
+
+    Groups with the same distinct u share one product basis_rows(n, u) @
+    fnode: the groups are handed out ordered by their u, the first group of
+    a u-set builds the product and the last one drops it, so no more
+    products are alive than there are threads.
+    """
+    fnode = _chord_node_table(f, n)
+    by_u: dict[bytes, list[_Group]] = {}
+    for g in _groups(*_chord_coordinates(pts)):
+        by_u.setdefault(g.u.tobytes(), []).append(g)
+    products = {key: _Shared(lambda u=members[0].u: basis_rows(n, u) @ fnode, len(members))
+                for key, members in by_u.items()}
 
     def evaluate(g: _Group) -> np.ndarray:
         pt = basis_rows(n, g.t)  # first, so its temporaries are gone before the gemm
-        gu = basis_rows(n, g.u) @ fnode
+        product = products[g.u.tobytes()]
+        gu = product.get()
         values = np.empty(g.points.size)
-        for a in range(0, values.size, _GATHER):
-            s = slice(a, a + _GATHER)
-            values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
+        runs = np.r_[np.flatnonzero(np.r_[True, g.ui[1:] != g.ui[:-1]]), g.ui.size].tolist()
+        if len(runs) * _RUN <= values.size:  # long runs of equal ui: one u row per run
+            blocks = ((c, min(c + _GATHER, b), a) for a, b in zip(runs[:-1], runs[1:])
+                      for c in range(a, b, _GATHER))
+            for c, d, a in blocks:
+                values[c:d] = np.einsum("pk,k->p", pt[g.ti[c:d]], gu[g.ui[a]])
+        else:
+            for c in range(0, values.size, _GATHER):
+                s = slice(c, c + _GATHER)
+                values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
+        product.release()
         return values
 
-    return _evaluate_groups(evaluate, _groups(*_chord_coordinates(pts)), len(pts), threads)
+    groups = [g for members in by_u.values() for g in members]
+    return _evaluate_groups(evaluate, groups, len(pts), threads)
 
 
-def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
+def _piecewise_disk_batch(f: Callable[[float, float], float], ns: Sequence[int],
                           pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Piecewise quadrant-polynomial values at many points, dispatching each
-    point to its quadrant (ties toward B1 > B2 > B3 > B4).
+    """Piecewise quadrant-polynomial values at many points for every degree
+    in ns, as a (len(ns), len(pts)) array, dispatching each point to its
+    quadrant (ties toward B1 > B2 > B3 > B4).
+
+    One sweep of _degree_rows(max(ns), t) per group serves every degree:
+    the rows of degree m go to operator n at k = n - m. As m falls, k rises
+    for every n, so each point's sum runs in order of k, as for one degree.
     """
     x = pts[:, 0]
     y = pts[:, 1]
@@ -357,27 +425,67 @@ def _piecewise_disk_batch(f: Callable[[float, float], float], n: int,
     quad[(x <= 0) & (y < 0)] = 2
     quad[(x < 0) & (y >= 0)] = 1
     quad[(x >= 0) & (y >= 0)] = 0
-    tables = [quadrant_node_table(f, n, q) if np.any(quad == i) else None
-              for i, q in enumerate(_QUADRANTS)]
+    degrees = sorted(set(ns))
+    tables = [[_memo_quadrant_table(f, n, q) if np.any(quad == i) else None
+               for i, q in enumerate(_QUADRANTS)] for n in degrees]
 
     def evaluate(g: _Group) -> np.ndarray:
-        pu = basis_rows(n, g.u).T.copy()
         gq = quad[g.points]
-        members = []  # per quadrant: node table, point positions, u and t rows, sums
-        for i, tab in enumerate(tables):
+        parts = []  # per quadrant: point positions, u and t rows, and per degree its sums
+        for i in range(len(_QUADRANTS)):
             sel = np.nonzero(gq == i)[0]
             if sel.size:
-                members.append((tab, sel, g.ui[sel].astype(np.intp), g.ti[sel].astype(np.intp),
-                                np.zeros(sel.size)))
-        for k, rows in enumerate(_degree_rows(n, g.t)):  # rows of degree n - k
-            for tab, _, ui, ti, acc in members:
-                acc += pu[k, ui] * (rows @ tab[k, : n - k + 1])[ti]
-        values = np.empty(g.points.size)
-        for _, sel, _, _, acc in members:
-            values[sel] = acc
+                parts.append((i, sel, g.ui[sel].astype(np.intp), g.ti[sel].astype(np.intp),
+                              np.zeros((len(degrees), sel.size))))
+        pus = [basis_rows(n, g.u).T.copy() for n in degrees]
+        members = [[(tables[d][i], ui, ti, acc[d]) for i, _, ui, ti, acc in parts]
+                   for d in range(len(degrees))]
+        first = len(degrees)  # degrees[first:] are the ones >= m
+        for m, rows in zip(range(degrees[-1], -1, -1), _degree_rows(degrees[-1], g.t)):
+            while first and degrees[first - 1] >= m:
+                first -= 1
+            for d in range(first, len(degrees)):
+                k, pu = degrees[d] - m, pus[d]
+                for tab, ui, ti, acc in members[d]:
+                    acc += pu[k, ui] * (rows @ tab[k, : m + 1])[ti]
+        values = np.empty((len(degrees), g.points.size))
+        for _, sel, _, _, acc in parts:
+            values[:, sel] = acc
         return values
 
-    return _evaluate_groups(evaluate, _groups(u, t), len(pts), threads)
+    out = _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(pts)), threads)
+    order = [degrees.index(n) for n in ns]
+    return out if order == list(range(len(degrees))) else out[order]
+
+
+def _checked_points(pts) -> np.ndarray:
+    """pts as an (m, 2) float array; ValueError unless every point is finite
+    and inside the closed unit disk (with slack)."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
+        pts = pts.reshape(-1, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"mesh point index {bad} is not finite")
+    if np.any(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK):
+        bad = int(np.argmax(pts[:, 0] ** 2 + pts[:, 1] ** 2))
+        raise ValueError(f"mesh point index {bad} outside the unit disk")
+    return pts
+
+
+def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence[int],
+                     pts: np.ndarray, threads: int | None) -> Sequence[np.ndarray]:
+    """Values of operator kind at checked points, one array per degree in
+    ns. Cbar and Bbar sweep all degrees at once."""
+    if len(pts) == 0:
+        return np.zeros((len(ns), 0))
+    if kind in ("Cbar", "Bbar"):
+        return _piecewise_disk_batch(f, ns, pts, threads)
+    if kind == "Bstancu":
+        return [_chord_disk_batch(f, n, pts, threads) for n in ns]
+    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -389,24 +497,7 @@ class DiskOperator:
 
     def __call__(self, f, pts: np.ndarray, threads: int | None = None) -> np.ndarray:
         threads = _threads(threads)
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
-            pts = pts.reshape(-1, 2)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise ValueError(f"mesh point index {bad} is not finite")
-        if np.any(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK):
-            bad = int(np.argmax(pts[:, 0] ** 2 + pts[:, 1] ** 2))
-            raise ValueError(f"mesh point index {bad} outside the unit disk")
-        if len(pts) == 0:
-            return np.zeros(0)
-        if self.kind in ("Cbar", "Bbar"):
-            return _piecewise_disk_batch(f, self.n, pts, threads)
-        if self.kind == "Bstancu":
-            return _chord_disk_batch(f, self.n, pts, threads)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
+        return _operator_values(self.kind, f, (self.n,), _checked_points(pts), threads)[0]
 
 
 def disk_operator(kind: str, n: int) -> DiskOperator:
@@ -578,7 +669,9 @@ def cross_section(
 ) -> list[tuple]:
     """Sample f and the operators along a segment inside the closed disk.
 
-    Returns rows (s, x, y, f, value_n1, value_n2, ...), s in [0, 1].
+    Returns rows (s, x, y, f, value_n1, value_n2, ...), s in [0, 1]. The
+    values have the bits of one DiskOperator call per n; Cbar and Bbar
+    compute every n in one sweep of the degrees.
     """
     threads = _threads(threads)
     if samples < 1:
@@ -589,8 +682,10 @@ def cross_section(
     for px, py in ((x0, y0), (x1, y1)):
         if px * px + py * py > 1.0 + _SLACK:
             raise ValueError("segment endpoint outside the disk")
+    ops = [disk_operator(op_kind, n) for n in n_list]  # every n is checked before f is called
     s = np.linspace(0.0, 1.0, samples)
     pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
-    cols = [disk_operator(op_kind, n)(f, pts, threads=threads).tolist() for n in n_list]
+    cols = [values.tolist() for values in _operator_values(
+        ops[0].kind, f, [op.n for op in ops], _checked_points(pts), threads)] if ops else []
     fvals = _sample(f, pts).tolist()
     return list(zip(s.tolist(), pts[:, 0].tolist(), pts[:, 1].tolist(), fvals, *cols))
