@@ -104,12 +104,6 @@ def test_empty_degree_list_gives_the_f_columns_only(kind):
     assert rows == [(si, x, y, f(x, y)) for si, (x, y) in zip(s.tolist(), pts.tolist())]
 
 
-def test_operator_on_no_points_gives_no_values():
-    for kind in ("Cbar", "Bstancu"):
-        out = ex.disk_operator(kind, 5)(Recording(ex.builtin(1)), np.empty((0, 2)))
-        assert out.shape == (0,)
-
-
 # ---------------------------------------------------------------------------
 # batch node tables in the memo
 
