@@ -16,8 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bivariate import _node_table
-from .disk import _EPS, _SLACK, Quadrant, _memo_quadrant_table, check_f_values
+from .disk import _EPS, _SLACK, Quadrant, check_f_values, quadrant_node_table
 from .univariate import _degree_rows, basis_rows
 
 __all__ = [
@@ -219,18 +218,17 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
 
 _ROWS = 512
 
-# Points whose rows _chord_disk_batch gathers at once. Each point's dot
-# product runs on its own, so the block size changes no bits; a small block
-# keeps the gathered (block, n+1) copies per thread small.
+# Points whose u and t rows _chord_disk_batch gathers at once. Each point's
+# dot product runs on its own, so the block size changes no bits; a small
+# block keeps the two gathered (block, n+1) copies per thread small.
 _GATHER = 128
 
-# Points per run of equal u, on average over a group, from which
-# _chord_disk_batch contracts each run with its one u row instead of
-# gathering a u row per point. On the chord mesh a run is one column's
-# points in a span, up to n + 1 (46-138 on average at n = 320); off-mesh
-# points (sections, eval) mostly have runs of one, where a call per run
-# costs more than the gather it saves.
-_RUN = 32
+# A Cbar or Bbar sweep holds the node tables of all its degrees at once, so
+# the degrees of one call are split into sweeps whose tables hold at most
+# this many times the entries of the largest degree's: the peak memory of a
+# section stays within half again that of one call at its largest n. The
+# list n = 10, 40, 80, 160 (1.32 times) still takes one sweep.
+_SWEEP_TABLES = 1.5
 
 
 @dataclass(frozen=True)
@@ -284,9 +282,9 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
                      shape: int | tuple[int, ...], threads: int | None) -> np.ndarray:
     """Values of every group, in point order, in an array of the given
     shape whose last axis is the points. With threads = T > 1 the calling
-    thread and T - 1 pool workers take groups from one shared iterator, in
-    list order; each group's values go straight to its own points, so the
-    output is the same for every T."""
+    thread and T - 1 pool workers take groups from one shared iterator;
+    each group's values go straight to its own points, so the output is
+    the same for every T."""
     out = np.empty(shape)
     todo = iter(groups)
     lock = threading.Lock()
@@ -311,28 +309,6 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
     return out
 
 
-class _Shared:
-    """A value built by the first of its users that asks for it and dropped
-    once every user has released it."""
-
-    def __init__(self, build: Callable[[], np.ndarray], users: int):
-        self._build, self._users = build, users
-        self._value = None
-        self._lock = threading.Lock()
-
-    def get(self) -> np.ndarray:
-        with self._lock:
-            if self._value is None:
-                self._value = self._build()
-            return self._value
-
-    def release(self) -> None:
-        with self._lock:
-            self._users -= 1
-            if self._users == 0:
-                self._value = None
-
-
 def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed coordinates u = (x+1)/2, t = (y/sqrt(1-x^2)+1)/2 of the
     chord-disk operator; t = 1/2 where the chord has no height. u and t are
@@ -350,71 +326,39 @@ def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.clip(t, 0.0, 1.0, out=t)
 
 
-def _chord_node_table(f: Callable[[float, float], float], n: int) -> np.ndarray:
-    """f at the chord-disk nodes ((2k-n)/n, (2j-n)/n * 2 sqrt(k(n-k))/n) as
-    an (n+1, n+1) table, read through the node-table memo."""
-
-    def build() -> np.ndarray:
-        idx = np.arange(n + 1)
-        xk = ((2 * idx - n) / n).tolist()
-        yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()
-        fnode = np.empty((n + 1, n + 1))
-        for k in range(n + 1):
-            fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
-        check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
-        return fnode
-
-    return _node_table((f, "chord", n), build)
-
-
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
                       pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points.
-
-    Groups with the same distinct u share one product basis_rows(n, u) @
-    fnode: the groups are handed out ordered by their u, the first group of
-    a u-set builds the product and the last one drops it, so no more
-    products are alive than there are threads.
-    """
-    fnode = _chord_node_table(f, n)
-    by_u: dict[bytes, list[_Group]] = {}
-    for g in _groups(*_chord_coordinates(pts)):
-        by_u.setdefault(g.u.tobytes(), []).append(g)
-    products = {key: _Shared(lambda u=members[0].u: basis_rows(n, u) @ fnode, len(members))
-                for key, members in by_u.items()}
+    """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points."""
+    idx = np.arange(n + 1)
+    xk = ((2 * idx - n) / n).tolist()
+    yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()
+    fnode = np.empty((n + 1, n + 1))
+    for k in range(n + 1):
+        fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
+    check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
 
     def evaluate(g: _Group) -> np.ndarray:
         pt = basis_rows(n, g.t)  # first, so its temporaries are gone before the gemm
-        product = products[g.u.tobytes()]
-        gu = product.get()
+        gu = basis_rows(n, g.u) @ fnode
         values = np.empty(g.points.size)
-        runs = np.r_[np.flatnonzero(np.r_[True, g.ui[1:] != g.ui[:-1]]), g.ui.size].tolist()
-        if (len(runs) - 1) * _RUN <= values.size:  # long runs of equal ui: one u row per run
-            for a, b in zip(runs[:-1], runs[1:]):
-                row = gu[g.ui[a]]
-                for c in range(a, b, _GATHER):
-                    d = min(c + _GATHER, b)
-                    values[c:d] = np.einsum("pk,k->p", pt[g.ti[c:d]], row)
-        else:
-            for c in range(0, values.size, _GATHER):
-                s = slice(c, c + _GATHER)
-                values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
-        product.release()
+        for a in range(0, values.size, _GATHER):
+            s = slice(a, a + _GATHER)
+            values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
         return values
 
-    groups = [g for members in by_u.values() for g in members]
-    return _evaluate_groups(evaluate, groups, len(pts), threads)
+    return _evaluate_groups(evaluate, _groups(*_chord_coordinates(pts)), len(pts), threads)
 
 
-def _piecewise_disk_batch(f: Callable[[float, float], float], ns: Sequence[int],
+def _piecewise_disk_batch(f: Callable[[float, float], float], degrees: Sequence[int],
                           pts: np.ndarray, threads: int | None = None) -> np.ndarray:
     """Piecewise quadrant-polynomial values at many points for every degree
-    in ns, as a (len(ns), len(pts)) array, dispatching each point to its
-    quadrant (ties toward B1 > B2 > B3 > B4).
+    in degrees (distinct, ascending), as a (len(degrees), len(pts)) array,
+    dispatching each point to its quadrant (ties toward B1 > B2 > B3 > B4).
 
-    One sweep of _degree_rows(max(ns), t) per group serves every degree:
-    the rows of degree m go to operator n at k = n - m. As m falls, k rises
-    for every n, so each point's sum runs in order of k, as for one degree.
+    One sweep of _degree_rows(max(degrees), t) per group serves every
+    degree: the rows of degree m go to operator n at k = n - m. As m falls,
+    k rises for every n, so each point's sum runs in order of k, as for one
+    degree. The node tables of every degree are held at once.
     """
     x = pts[:, 0]
     y = pts[:, 1]
@@ -427,8 +371,7 @@ def _piecewise_disk_batch(f: Callable[[float, float], float], ns: Sequence[int],
     quad[(x <= 0) & (y < 0)] = 2
     quad[(x < 0) & (y >= 0)] = 1
     quad[(x >= 0) & (y >= 0)] = 0
-    degrees = sorted(set(ns))
-    tables = [[_memo_quadrant_table(f, n, q) if np.any(quad == i) else None
+    tables = [[quadrant_node_table(f, n, q) if np.any(quad == i) else None
                for i, q in enumerate(_QUADRANTS)] for n in degrees]
 
     def evaluate(g: _Group) -> np.ndarray:
@@ -439,25 +382,40 @@ def _piecewise_disk_batch(f: Callable[[float, float], float], ns: Sequence[int],
             if sel.size:
                 parts.append((i, sel, g.ui[sel].astype(np.intp), g.ti[sel].astype(np.intp),
                               np.zeros((len(degrees), sel.size))))
-        pus = [basis_rows(n, g.u).T.copy() for n in degrees]
-        members = [[(tables[d][i], ui, ti, acc[d]) for i, _, ui, ti, acc in parts]
-                   for d in range(len(degrees))]
-        first = len(degrees)  # degrees[first:] are the ones >= m
+        # per degree, ascending: its u rows and its quadrants' tables, rows and sums
+        waiting = [(n, basis_rows(n, g.u).T.copy(),
+                    [(tables[d][i], ui, ti, acc[d]) for i, _, ui, ti, acc in parts])
+                   for d, n in enumerate(degrees)]
+        active = []  # the degrees n >= m, moved from waiting as m falls
         for m, rows in zip(range(degrees[-1], -1, -1), _degree_rows(degrees[-1], g.t)):
-            while first and degrees[first - 1] >= m:
-                first -= 1
-            for d in range(first, len(degrees)):
-                k, pu = degrees[d] - m, pus[d]
-                for tab, ui, ti, acc in members[d]:
+            while waiting and waiting[-1][0] >= m:
+                active.append(waiting.pop())
+            for n, pu, members in active:
+                k = n - m
+                for tab, ui, ti, acc in members:
                     acc += pu[k, ui] * (rows @ tab[k, : m + 1])[ti]
         values = np.empty((len(degrees), g.points.size))
         for _, sel, _, _, acc in parts:
             values[:, sel] = acc
         return values
 
-    out = _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(pts)), threads)
-    order = [degrees.index(n) for n in ns]
-    return out if order == list(range(len(degrees))) else out[order]
+    return _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(pts)), threads)
+
+
+def _sweeps(degrees: Sequence[int]) -> list[list[int]]:
+    """Distinct ascending degrees split, from the largest down, into the
+    degree lists of _piecewise_disk_batch calls, each ascending. A sweep
+    takes degrees while its node tables hold at most _SWEEP_TABLES times
+    the entries of the largest degree's."""
+    bound = _SWEEP_TABLES * (degrees[-1] + 1) ** 2
+    sweeps, held = [], bound
+    for n in reversed(degrees):
+        if held + (n + 1) ** 2 > bound:
+            sweeps.append([])
+            held = 0
+        sweeps[-1].insert(0, n)
+        held += (n + 1) ** 2
+    return sweeps
 
 
 def _checked_points(pts) -> np.ndarray:
@@ -480,14 +438,20 @@ def _checked_points(pts) -> np.ndarray:
 def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence[int],
                      pts: np.ndarray, threads: int | None) -> Sequence[np.ndarray]:
     """Values of operator kind at checked points, one array per degree in
-    ns. Cbar and Bbar sweep all degrees at once."""
+    ns; each distinct degree is computed once. Cbar and Bbar sweep several
+    degrees at once (_sweeps)."""
     if len(pts) == 0:
         return np.zeros((len(ns), 0))
+    degrees = sorted(set(ns))
     if kind in ("Cbar", "Bbar"):
-        return _piecewise_disk_batch(f, ns, pts, threads)
-    if kind == "Bstancu":
-        return [_chord_disk_batch(f, n, pts, threads) for n in ns]
-    raise ValueError(f"unknown operator kind {kind!r}")
+        values = {}
+        for sweep in _sweeps(degrees):
+            values.update(zip(sweep, _piecewise_disk_batch(f, sweep, pts, threads)))
+    elif kind == "Bstancu":
+        values = {n: _chord_disk_batch(f, n, pts, threads) for n in degrees}
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return [values[n] for n in ns]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,12 @@
 """The benchmark's large-n RMSE cells, recomputed and compared bit for bit
 with the values recorded in perfbench/golden.json (read, never written).
 Every kernel change so far has kept these cells bit-identical; this test
-keeps that visible in the test suite as well as in the benchmark. Also pins
-the einsum equality the chord kernel's contraction relies on.
+keeps that visible in the test suite as well as in the benchmark.
 """
 
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from diskbern import experiments as ex
@@ -27,20 +25,3 @@ def test_large_n_cell_bit_identical_to_golden(key):
     mesh = ex.mesh_quadrant_disk(n, dedup=True) if kind == "Cbar" else ex.mesh_stancu_disk(n)
     value = ex.rmse(ex.builtin(name), ex.disk_operator(kind, n), mesh, threads=2)
     assert value == large_n_cells()[key]
-
-
-@pytest.mark.parametrize("n", [1, 80, 320, 1000])
-def test_einsum_with_one_shared_row_equals_the_per_point_gather(n):
-    """The chord kernel contracts a run of points that share their u row
-    with einsum("pk,k->p"), and other points with einsum("pk,pk->p") on
-    gathered rows; the golden cells rely on both giving the same bits. This
-    is an observation on the numpy in use (2.4.6 when it was written), not
-    a documented guarantee, so it is pinned here."""
-    rng = np.random.default_rng(n)
-    rows = rng.random((128, n + 1)) * rng.random((128, 1)) ** 8
-    shared = rng.random(n + 1) - 0.25
-    for count in (1, 2, 7, 64, 128):
-        block = rows[:count]
-        gathered = np.broadcast_to(shared, block.shape).copy()
-        assert (np.einsum("pk,k->p", block, shared).tobytes()
-                == np.einsum("pk,pk->p", gathered, block).tobytes())
