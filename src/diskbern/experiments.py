@@ -349,54 +349,59 @@ def _chord_disk_batch(f: Callable[[float, float], float], n: int,
     return _evaluate_groups(evaluate, _groups(*_chord_coordinates(pts)), len(pts), threads)
 
 
-def _piecewise_disk_batch(f: Callable[[float, float], float], degrees: Sequence[int],
-                          pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Piecewise quadrant-polynomial values at many points for every degree
-    in degrees (distinct, ascending), as a (len(degrees), len(pts)) array,
-    dispatching each point to its quadrant (ties toward B1 > B2 > B3 > B4).
-
-    One sweep of _degree_rows(max(degrees), t) per group serves every
-    degree: the rows of degree m go to operator n at k = n - m. As m falls,
-    k rises for every n, so each point's sum runs in order of k, as for one
-    degree. The node tables of every degree are held at once.
-    """
+def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapsed coordinates u = x^2, t = y^2/(1-x^2) of the quadrant
+    operator (t = 0 where 1 - x^2 <= _EPS), and each point's quadrant as an
+    index into _QUADRANTS, ties toward B1 > B2 > B3 > B4 as in the scalar
+    dispatch."""
     x = pts[:, 0]
     y = pts[:, 1]
     u = np.clip(x * x, 0.0, 1.0)
     rest = 1.0 - u
     t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
-    # same tie-break as the scalar dispatch: first of B1 > B2 > B3 > B4
     quad = np.full(len(pts), 3)
     quad[(x <= 0) & (y < 0)] = 2
     quad[(x < 0) & (y >= 0)] = 1
     quad[(x >= 0) & (y >= 0)] = 0
-    tables = [[quadrant_node_table(f, n, q) if np.any(quad == i) else None
-               for i, q in enumerate(_QUADRANTS)] for n in degrees]
+    return u, t, quad
+
+
+def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.ndarray | None]],
+                          pts: np.ndarray, threads: int | None = None) -> np.ndarray:
+    """Piecewise quadrant-polynomial values at many points for every degree
+    in degrees (distinct, ascending), as a (len(degrees), len(pts)) array,
+    dispatching each point to its quadrant. tables[d][i] is the node table
+    of degree degrees[d] and quadrant _QUADRANTS[i], sampled by the caller;
+    it may be None where no point lies in that quadrant.
+
+    One sweep of _degree_rows(max(degrees), t) per group serves every
+    degree: the rows of degree m go to operator n at k = n - m. As m falls,
+    k rises for every n, so each point's sum runs in order of k, as for one
+    degree. For each degree and m, the products of the rows with the
+    group's quadrants' tables go into one (4, T) buffer, from which one
+    gather takes every point's term.
+    """
+    u, t, quad = _quadrant_coordinates(pts)
 
     def evaluate(g: _Group) -> np.ndarray:
         gq = quad[g.points]
-        parts = []  # per quadrant: its index, point positions, u and t rows, sums per degree
-        for i in range(len(_QUADRANTS)):
-            sel = np.nonzero(gq == i)[0]
-            if sel.size:
-                parts.append((i, sel, g.ui[sel].astype(np.intp), g.ti[sel].astype(np.intp),
-                              np.zeros((len(degrees), sel.size))))
-        # per degree, ascending: its u rows and its quadrants' tables, rows and sums
-        waiting = [(n, basis_rows(n, g.u).T.copy(),
-                    [(tables[d][i], ui, ti, acc[d]) for i, _, ui, ti, acc in parts])
-                   for d, n in enumerate(degrees)]
+        present = np.flatnonzero(np.bincount(gq, minlength=len(_QUADRANTS)))
+        d = np.empty((len(_QUADRANTS), g.t.size))  # per quadrant, the rows times its table
+        at = gq * g.t.size + g.ti  # each point's product in d, flat
+        values = np.zeros((len(degrees), g.points.size))
+        # per degree, ascending: its u rows, its sums and its quadrants' product rows and tables
+        waiting = [(n, basis_rows(n, g.u).T.copy(), acc, [(d[i], tables[x][i]) for i in present])
+                   for x, (n, acc) in enumerate(zip(degrees, values))]
         active = []  # the degrees n >= m, moved from waiting as m falls
         for m, rows in zip(range(degrees[-1], -1, -1), _degree_rows(degrees[-1], g.t)):
             while waiting and waiting[-1][0] >= m:
                 active.append(waiting.pop())
-            for n, pu, members in active:
+            for n, pu, acc, products in active:
                 k = n - m
-                for tab, ui, ti, acc in members:
-                    acc += pu[k, ui] * (rows @ tab[k, : m + 1])[ti]
-        values = np.empty((len(degrees), g.points.size))
-        for _, sel, _, _, acc in parts:
-            values[:, sel] = acc
+                for out, tab in products:
+                    np.matmul(rows, tab[k, : m + 1], out=out)
+                acc += pu[k].take(g.ui) * d.take(at)
         return values
 
     return _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(pts)), threads)
@@ -444,9 +449,13 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
         return np.zeros((len(ns), 0))
     degrees = sorted(set(ns))
     if kind in ("Cbar", "Bbar"):
+        present = np.bincount(_quadrant_coordinates(pts)[2], minlength=len(_QUADRANTS)) > 0
         values = {}
-        for sweep in _sweeps(degrees):
-            values.update(zip(sweep, _piecewise_disk_batch(f, sweep, pts, threads)))
+        for sweep in _sweeps(degrees):  # one sweep's tables live at a time
+            values.update(zip(sweep, _piecewise_disk_batch(
+                sweep, [[quadrant_node_table(f, n, q) if here else None
+                         for q, here in zip(_QUADRANTS, present)] for n in sweep],
+                pts, threads)))
     elif kind == "Bstancu":
         values = {n: _chord_disk_batch(f, n, pts, threads) for n in degrees}
     else:
@@ -498,11 +507,37 @@ class RmseReport:
     mesh_sizes: tuple[tuple[int, int], ...]
 
 
+def _mesh_node_values(mesh: MeshSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """f at the points of a quadrant mesh, read from the four node tables of
+    its degree. The mesh stores sx sqrt(k/n) + 0.0, which is +0.0 on an
+    axis, so a point with k = 0 (j = 0) is read from a quadrant with sx = +1
+    (sy = +1): the node with the same coordinate bits."""
+    z = np.empty(len(mesh.points))
+    a = 0
+    for (name,), k, j in mesh.label_segments():
+        sx, sy = Quadrant[name].value
+        neg_x, neg_y = (k > 0) & (sx < 0), (j > 0) & (sy < 0)
+        src = np.where(neg_y, np.where(neg_x, 2, 3), np.where(neg_x, 1, 0))  # index into _QUADRANTS
+        seg = z[a:a + k.size]
+        for i, tab in enumerate(tables):
+            sel = src == i
+            seg[sel] = tab[k[sel], j[sel]]
+        a += k.size
+    return z
+
+
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
                        mesh: MeshSpec, threads: int) -> float:
-    """fsum of (f - op f)^2 over the mesh points."""
-    z = _sample(f, mesh.points)
-    sq = op(f, mesh.points, threads=threads)
+    """fsum of (f - op f)^2 over the mesh points. Cbar and Bbar on the
+    quadrant mesh of their own degree sample f once, at their node tables,
+    which hold f at every mesh point too."""
+    if op.kind != "Bstancu" and mesh.kind == "quadrant" and mesh.n == op.n:
+        tables = [quadrant_node_table(f, op.n, q) for q in _QUADRANTS]
+        z = _mesh_node_values(mesh, tables)
+        sq = _piecewise_disk_batch((op.n,), [tables], _checked_points(mesh.points), threads)[0]
+    else:
+        z = _sample(f, mesh.points)
+        sq = op(f, mesh.points, threads=threads)
     np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
     sq *= sq
     return math.fsum(sq)

@@ -2,8 +2,10 @@
 indices and the same content as the two-sort construction they replace, the
 calling thread is one of the `threads` that evaluate them, the chord
 coordinates are finished in place, `rmse` squares in place with unchanged
-bits, reference_report takes both denominators from one sum, and nonsense
-thread counts and degrees fail before any work.
+bits, a Cbar or Bbar cell on its own quadrant mesh reads f at the mesh from
+its node tables with the bits of a per-point sample, reference_report takes
+both denominators from one sum, and nonsense thread counts and degrees fail
+before any work.
 """
 
 import math
@@ -215,6 +217,62 @@ def test_rmse_keeps_its_bits(example):
             for denominator, denom in (("nominal", mesh.nominal_size), ("actual", len(mesh.points))):
                 expected = math.sqrt(math.fsum(sq) / denom)
                 assert ex.rmse(f, op, mesh, denominator=denominator) == expected
+
+
+class Counted:
+    """f that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return self.f(x, y)
+
+
+def signs(x, y):
+    """Reads the sign of zero: f(-0.0, y) != f(0.0, y)."""
+    return math.copysign(1.0, x) + 2.0 * math.copysign(1.0, y)
+
+
+def per_point_rmse(f, op, mesh, denominator):
+    z = np.array([f(x, y) for x, y in mesh.points.tolist()])
+    denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
+    return math.sqrt(math.fsum((z - op(f, mesh.points)) ** 2) / denom)
+
+
+@pytest.mark.parametrize("dedup", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_quadrant_cell_reads_f_from_its_node_tables_with_the_per_point_bits(n, dedup):
+    mesh = ex.mesh_quadrant_disk(n, dedup)
+    for f in (signs, ex.builtin(1), ex.builtin(4)):
+        tables = [ex.quadrant_node_table(f, n, q) for q in ex._QUADRANTS]
+        z = np.array([f(x, y) for x, y in mesh.points.tolist()])
+        assert ex._mesh_node_values(mesh, tables).tobytes() == z.tobytes()
+        for kind in ("Cbar", "Bbar"):
+            op = ex.disk_operator(kind, n)
+            for denominator in ("nominal", "actual"):
+                counted = Counted(f)
+                value = ex.rmse(counted, op, mesh, denominator=denominator)
+                assert value == per_point_rmse(f, op, mesh, denominator)
+                assert counted.calls == 2 * (n + 1) * (n + 2)  # the four node tables alone
+
+
+@pytest.mark.parametrize("kind, n, mesh", [
+    ("Bstancu", 7, ex.mesh_stancu_disk(7)),
+    ("Bstancu", 7, ex.mesh_quadrant_disk(7)),
+    ("Cbar", 7, ex.mesh_quadrant_disk(8)),
+    ("Bbar", 8, ex.mesh_quadrant_disk(7, dedup=False)),
+    ("Cbar", 7, ex.mesh_stancu_disk(7)),
+])
+def test_other_cells_still_sample_f_at_every_mesh_point(kind, n, mesh):
+    op = ex.disk_operator(kind, n)
+    for f in (signs, ex.builtin(2)):
+        nodes = Counted(f)
+        op(nodes, mesh.points)
+        counted = Counted(f)
+        assert ex.rmse(counted, op, mesh) == per_point_rmse(f, op, mesh, "nominal")
+        assert counted.calls == len(mesh.points) + nodes.calls
 
 
 @pytest.mark.parametrize("example", [1, 2, 3, 4])

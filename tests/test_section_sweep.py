@@ -1,8 +1,9 @@
 """Cbar and Bbar sweep a cross section's degrees in as few passes as their
-node tables' memory allows, and each batch call samples its node tables
-once, outside the node-table memo. Each is checked against the calls it
-replaced: per-n DiskOperator calls, bit for bit, and the f calls each
-call makes.
+node tables' memory allows, each batch call samples its node tables once,
+outside the node-table memo, and the kernel gathers each degree's terms for
+all of a group's points at once. Each is checked against what it replaced:
+per-n DiskOperator calls and the per-member loop, bit for bit, and the f
+calls each call makes.
 """
 
 import math
@@ -14,6 +15,7 @@ import pytest
 from diskbern import bivariate as biv
 from diskbern import disk
 from diskbern import experiments as ex
+from diskbern.univariate import _degree_rows, basis_rows
 
 CHORDS = [((-1.0, 0.0), (1.0, 0.0)), ((0.0, -1.0), (0.0, 1.0)), ((-0.6, -0.8), (0.8, 0.6)),
           ((math.cos(0.3), math.sin(0.3)), (math.cos(1.3), math.sin(1.3)))]
@@ -64,20 +66,75 @@ def test_section_bit_equal_to_per_n_operator_calls(kind, n_list):
             assert values.tobytes() == expected.tobytes()
 
 
-def test_sweep_bit_equal_to_one_degree_at_a_time_over_several_groups():
-    pts = quadrant_points()
+def several_group_points():
+    """quadrant_points() with a scaled mesh and random points: more than
+    one group."""
     rng = np.random.default_rng(8)
-    pts = np.vstack((pts, 0.99 * ex.mesh_quadrant_disk(30).points,
+    pts = np.vstack((quadrant_points(), 0.99 * ex.mesh_quadrant_disk(30).points,
                      rng.uniform(-0.7, 0.7, (900, 2))))
-    rest = 1.0 - np.clip(pts[:, 0] ** 2, 0.0, 1.0)
-    t = pts[:, 1] ** 2 / np.where(rest > 0.0, rest, 1.0)
-    assert len(ex._groups(1.0 - rest, t)) > 1
+    assert len(ex._groups(*ex._quadrant_coordinates(pts)[:2])) > 1
+    return pts
+
+
+def test_sweep_bit_equal_to_one_degree_at_a_time_over_several_groups():
+    pts = several_group_points()
     f, ns = ex.builtin(3), (25, 3, 25, 60)
     assert ex._sweeps(sorted(set(ns))) == [[3, 25, 60]]
-    expected = np.array([ex._piecewise_disk_batch(f, (n,), pts)[0] for n in ns])
+    expected = np.array([ex.disk_operator("Cbar", n)(f, pts) for n in ns])
     for threads in (1, 2, 3):
         values = ex._operator_values("Cbar", f, ns, pts, threads)
         assert np.array(values).tobytes() == expected.tobytes()
+
+
+def per_member_piecewise_batch(f, degrees, pts, threads=None):
+    """The quadrant kernel as it was before it gathered each degree's terms
+    at once: per quadrant member of a group, its own u and t row indices,
+    gathers and sums."""
+    u, t, quad = ex._quadrant_coordinates(pts)
+    tables = [[disk.quadrant_node_table(f, n, q) if np.any(quad == i) else None
+               for i, q in enumerate(ex._QUADRANTS)] for n in degrees]
+
+    def evaluate(g):
+        gq = quad[g.points]
+        parts = []
+        for i in range(len(ex._QUADRANTS)):
+            sel = np.nonzero(gq == i)[0]
+            if sel.size:
+                parts.append((i, sel, g.ui[sel].astype(np.intp), g.ti[sel].astype(np.intp),
+                              np.zeros((len(degrees), sel.size))))
+        waiting = [(n, basis_rows(n, g.u).T.copy(),
+                    [(tables[d][i], ui, ti, acc[d]) for i, _, ui, ti, acc in parts])
+                   for d, n in enumerate(degrees)]
+        active = []
+        for m, rows in zip(range(degrees[-1], -1, -1), _degree_rows(degrees[-1], g.t)):
+            while waiting and waiting[-1][0] >= m:
+                active.append(waiting.pop())
+            for n, pu, members in active:
+                k = n - m
+                for tab, ui, ti, acc in members:
+                    acc += pu[k, ui] * (rows @ tab[k, : m + 1])[ti]
+        values = np.empty((len(degrees), g.points.size))
+        for _, sel, _, _, acc in parts:
+            values[:, sel] = acc
+        return values
+
+    return ex._evaluate_groups(evaluate, ex._groups(u, t), (len(degrees), len(pts)), threads)
+
+
+@pytest.mark.parametrize("degrees", [(7,), (3, 25, 60), (10, 40, 80, 160)])
+@pytest.mark.parametrize("points", ["mesh-dedup", "mesh", "quadrant-points", "several-groups"])
+def test_one_gather_per_degree_bit_equal_to_per_member_loop(points, degrees):
+    pts = {"mesh-dedup": ex.mesh_quadrant_disk(40, dedup=True).points,
+           "mesh": ex.mesh_quadrant_disk(40, dedup=False).points,
+           "quadrant-points": quadrant_points(),
+           "several-groups": several_group_points()}[points]
+    f = ex.builtin(1 + degrees[0] % 4)
+    expected = per_member_piecewise_batch(f, degrees, pts).tobytes()
+    quad = ex._quadrant_coordinates(pts)[2]
+    tables = [[disk.quadrant_node_table(f, n, q) if np.any(quad == i) else None
+               for i, q in enumerate(ex._QUADRANTS)] for n in degrees]
+    for threads in (1, 2, 3):
+        assert ex._piecewise_disk_batch(degrees, tables, pts, threads).tobytes() == expected
 
 
 @pytest.mark.parametrize("degrees, sweeps", [
