@@ -7,7 +7,6 @@ x-dependent node count) inside one in x.
 
 from __future__ import annotations
 
-import math
 import threading
 import warnings
 from collections import OrderedDict
@@ -16,7 +15,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import Interval, _row_triangle, basis_row, bernstein, bernstein_shifted
+from .univariate import (Interval, _row_triangle, basis_row, bernstein, bernstein_shifted,
+                         check_f_values)
 
 __all__ = [
     "CurvilinearDomain",
@@ -180,14 +180,48 @@ def _inner_t(dom: CurvilinearDomain, x: float, y: float) -> float:
     return min(max((y - dom.phi1(x)) / w, 0.0), 1.0)
 
 
-def check_f_values(values: np.ndarray, point_at: Callable[[int], tuple[float, float]]):
-    """Raise ValueError if f returned NaN or inf anywhere in values; point_at
-    maps the flat index of the first such value to the point f was called at.
+# Sampling f: every operator reads f through _sample_points (f at given
+# points) or _node_values (f at a table of nodes), the only two functions
+# that call it. Both check its values with check_f_values.
+
+_BLOCK = 512  # points per _sample_points block
+
+
+def _sample_points(f: Callable[[float, float], float], pts: np.ndarray) -> np.ndarray:
+    """f at every point of pts, an (m, 2) array, called with Python floats in
+    order, _BLOCK points at a time (one list of the whole array would hold a
+    Python float per coordinate). A NaN or inf value raises ValueError
+    naming the point.
     """
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"f{point_at(i)} = {values.flat[i]} is not finite")
+    out = np.empty(len(pts))
+    for a in range(0, len(pts), _BLOCK):
+        xs, ys = pts[a:a + _BLOCK].T.tolist()
+        block = out[a:a + _BLOCK]
+        block[:] = list(map(f, xs, ys))
+        check_f_values(block, lambda i: (xs[i], ys[i]))
+    return out
+
+
+def _node_values(f: Callable[[float, float], float], counts: np.ndarray, nodes: Callable,
+                 live: np.ndarray | None = None) -> np.ndarray:
+    """f at the nodes (k, j), j <= counts[k], of the rows k where live is
+    true (every row when live is None), as a table that is zero elsewhere.
+    nodes(k, j, n_k), given k and n_k as columns and j as a row, returns the
+    node coordinates (x, y), x constant along a row. f gets Python floats,
+    one x per row, in order of k, then j, once per node. A NaN or inf value
+    raises ValueError naming the first such node in that order.
+    """
+    k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
+    x, y = nodes(k, j, nk)
+    x = np.broadcast_to(x, (k.size, 1)).ravel().tolist()
+    y = np.broadcast_to(y, (k.size, j.size))
+    table = np.zeros(y.shape)
+    sizes = (counts + 1).tolist()
+    for r in range(k.size) if live is None else np.flatnonzero(live).tolist():
+        xr, m = x[r], sizes[r]
+        table[r, :m] = [f(xr, v) for v in y[r, :m].tolist()]
+    check_f_values(table, lambda i: (x[i // j.size], float(y[i // j.size, i % j.size])))
+    return table
 
 
 # The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
@@ -235,25 +269,12 @@ def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> n
 
 def _sample_rows(f: Callable[[float, float], float], outer: np.ndarray, counts: np.ndarray,
                  nodes: Callable, key: tuple[Hashable, ...]) -> np.ndarray:
-    """f at the nodes of the rows k with nonzero outer weight, as a table
-    that is zero elsewhere. nodes(k, j, n_k), given k and n_k as columns and
-    j as a row, returns the node coordinates (x, y); f gets them as Python
-    floats, in order of k, then j. key names the operator's node set, and
-    the table is read through _node_table under (f, *key, live-row mask).
+    """_node_values(f, counts, nodes) at the rows k with nonzero outer
+    weight, read through _node_table under (f, *key, live-row mask); key
+    names the operator's node set.
     """
-    live_rows = outer != 0.0
-
-    def build() -> np.ndarray:
-        k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
-        live = (j <= nk) & live_rows[:, None]
-        px, py = (np.broadcast_to(c, live.shape)[live].tolist() for c in nodes(k, j, nk))
-        values = np.fromiter(map(f, px, py), float, len(px))
-        check_f_values(values, lambda i: (px[i], py[i]))
-        table = np.zeros(live.shape)
-        table[live] = values
-        return table
-
-    return _node_table((f, *key, live_rows.tobytes()), build)
+    live = outer != 0.0
+    return _node_table((f, *key, live.tobytes()), lambda: _node_values(f, counts, nodes, live))
 
 
 def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarray) -> float:
@@ -397,12 +418,13 @@ def voronovskaja_probe(
     """Residual of the operator at a fixed interior point for increasing n.
 
     Returns (n, residual, n * residual) triples; for twice-differentiable f
-    the scaled residual should stay bounded.
+    the scaled residual should stay bounded. A NaN or inf f at the point
+    raises ValueError.
     """
     if sched is None:
         sched = NodeSchedule.n_minus_k()
     x, y = point
-    target = f(x, y)
+    target = float(_sample_points(f, np.array([[x, y]], dtype=float))[0])
     out = []
     for n in n_list:
         r = stancu(f, dom, n, sched, x, y) - target

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bivariate import NodeSchedule, _nested_sum, _node_table, _sample_rows, check_f_values
-from .univariate import Interval, basis_row, log_factorials
+from .bivariate import NodeSchedule, _nested_sum, _node_table, _node_values, _sample_rows
+from .univariate import Interval, basis_row, check_f_values
 
 __all__ = [
     "Quadrant",
@@ -95,58 +95,25 @@ def simplex_bernstein(
     x: float,
     y: float,
 ) -> float:
-    """Bernstein-Stancu operator on the triangle x, y >= 0, x + y <= 1.
-
-    With the n-minus-k schedule this is the classical multinomial operator
-    on the simplex; other schedules go through the Duffy parameterization
-    with the degenerate corner x = 1 handled as the limit f(1, 0).
+    """Bernstein-Stancu operator on the triangle x, y >= 0, x + y <= 1,
+    through the Duffy parameterization with the degenerate corner x = 1
+    handled as the limit f(1, 0). With the n-minus-k schedule this is the
+    classical multinomial operator on the simplex.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point ({x}, {y}) is not finite")
     if x < -_EPS or y < -_EPS or x + y > 1.0 + _SLACK:
         raise ValueError(f"point ({x}, {y}) outside the simplex")
     if n < 1:
         raise ValueError("n must be >= 1")
     x = max(x, 0.0)
     y = max(y, 0.0)
-    if sched.kind == "n-minus-k":
-        def finite(u: float, v: float) -> float:
-            value = f(u, v)
-            if not math.isfinite(value):
-                raise ValueError(f"f{(u, v)} = {value} is not finite")
-            return value
-        return _simplex_multinomial(finite, n, x, y)
     counts = sched.counts(n)
     px = basis_row(n, min(x, 1.0))
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
     table = _sample_rows(f, px, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
                          ("simplex", n, sched))
     return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
-
-
-def _simplex_multinomial(f: Callable[[float, float], float], n: int, x: float, y: float) -> float:
-    """Direct multinomial expansion on the simplex, total on the closed
-    triangle; log-space coefficients, zero factors skipped by index.
-    """
-    w = max(1.0 - x - y, 0.0)
-    lg = log_factorials(n)
-    total = 0.0
-    for k in range(n + 1):
-        if x == 0.0 and k > 0:
-            continue
-        for j in range(n - k + 1):
-            if y == 0.0 and j > 0:
-                continue
-            m = n - k - j
-            if w == 0.0 and m > 0:
-                continue
-            log_term = lg[n] - lg[k] - lg[j] - lg[m]
-            if k:
-                log_term += k * math.log(x)
-            if j:
-                log_term += j * math.log(y)
-            if m:
-                log_term += m * math.log(w)
-            total += math.exp(log_term) * f(k / n, j / n)
-    return total
 
 
 def ball_stancu(
@@ -165,9 +132,14 @@ def ball_stancu(
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    table = _sample_rows(f, px, counts, lambda k, j, nk: (
-        (2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n)), ("ball", n, sched))
+    table = _sample_rows(f, px, counts, _chord_nodes(n), ("ball", n, sched))
     return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
+
+
+def _chord_nodes(n: int) -> Callable:
+    """The node map (k, j, n_k) -> ((2k - n)/n, (2j - n_k)/n_k * 2 sqrt(k(n - k))/n)
+    of ball_stancu at degree n: node j of chord k, of n_k + 1."""
+    return lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n))
 
 
 def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
@@ -176,14 +148,8 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = np.zeros((n + 1, n + 1))
-    roots = np.sqrt(np.arange(n + 1) / n).tolist()
-    sx, sy = q.value
-    for k in range(n + 1):
-        xk = sx * roots[k]
-        table[k, : n - k + 1] = [f(xk, sy * r) for r in roots[: n - k + 1]]
-    check_f_values(table, lambda i: (sx * roots[i // (n + 1)], sy * roots[i % (n + 1)]))
-    return table
+    roots = np.sqrt(np.arange(n + 1) / n)
+    return _node_values(f, n - np.arange(n + 1), lambda k, j, _: (q.sx * roots[k], q.sy * roots[j]))
 
 
 def _memo_quadrant_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:

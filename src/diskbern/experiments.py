@@ -16,7 +16,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .disk import _EPS, _SLACK, Quadrant, check_f_values, quadrant_node_table
+from .bivariate import _node_values, _sample_points
+from .disk import _EPS, _SLACK, Quadrant, _chord_nodes, quadrant_node_table
 from .univariate import _degree_rows, basis_rows
 
 __all__ = [
@@ -329,13 +330,7 @@ def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _chord_disk_batch(f: Callable[[float, float], float], n: int,
                       pts: np.ndarray, threads: int | None = None) -> np.ndarray:
     """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points."""
-    idx = np.arange(n + 1)
-    xk = ((2 * idx - n) / n).tolist()
-    yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()
-    fnode = np.empty((n + 1, n + 1))
-    for k in range(n + 1):
-        fnode[k] = [f(xk[k], jf * yscale[k]) for jf in xk]
-    check_f_values(fnode, lambda i: (xk[i // (n + 1)], xk[i % (n + 1)] * yscale[i // (n + 1)]))
+    fnode = _node_values(f, np.full(n + 1, n), _chord_nodes(n))
 
     def evaluate(g: _Group) -> np.ndarray:
         pt = basis_rows(n, g.t)  # first, so its temporaries are gone before the gemm
@@ -486,19 +481,6 @@ def disk_operator(kind: str, n: int) -> DiskOperator:
 # RMSE
 
 
-def _sample(f: Callable[[float, float], float], pts: np.ndarray) -> np.ndarray:
-    """f at every point, called with Python floats, _ROWS points at a time
-    (one list of the whole mesh would hold a Python float per coordinate).
-    A NaN or inf value raises ValueError.
-    """
-    out = np.empty(len(pts))
-    for a in range(0, len(pts), _ROWS):
-        block = out[a:a + _ROWS]
-        block[:] = list(map(f, *pts[a:a + _ROWS].T.tolist()))
-        check_f_values(block, lambda i: tuple(pts[a + i].tolist()))
-    return out
-
-
 @dataclass(frozen=True)
 class RmseReport:
     function_id: str
@@ -536,7 +518,7 @@ def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
         z = _mesh_node_values(mesh, tables)
         sq = _piecewise_disk_batch((op.n,), [tables], _checked_points(mesh.points), threads)[0]
     else:
-        z = _sample(f, mesh.points)
+        z = _sample_points(f, mesh.points)
         sq = op(f, mesh.points, threads=threads)
     np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
     sq *= sq
@@ -688,5 +670,5 @@ def cross_section(
     pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
     cols = [values.tolist() for values in _operator_values(
         ops[0].kind, f, [op.n for op in ops], _checked_points(pts), threads)] if ops else []
-    fvals = _sample(f, pts).tolist()
+    fvals = _sample_points(f, pts).tolist()
     return list(zip(s.tolist(), pts[:, 0].tolist(), pts[:, 1].tolist(), fvals, *cols))

@@ -30,6 +30,7 @@ __all__ = [
     "bernstein_shifted",
     "c_tau",
     "c_tau_shifted",
+    "check_f_values",
     "log_factorials",
     "validate_transform",
 ]
@@ -183,6 +184,17 @@ def _check_unit_array(xs) -> np.ndarray:
     return np.clip(xs, 0.0, 1.0)
 
 
+def check_f_values(values: np.ndarray, point_at: Callable[[int], tuple[float, ...]]):
+    """Raise ValueError if f returned NaN or inf anywhere in values; point_at
+    maps the flat index of the first such value to the point f was called at.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        point = ", ".join(map(repr, point_at(i)))
+        raise ValueError(f"f({point}) = {values.flat[i]} is not finite")
+
+
 def basis_rows(n: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized basis rows: shape (len(xs), n+1); xs must lie in [0, 1]."""
     return next(_degree_rows(n, xs))
@@ -265,14 +277,13 @@ def bernstein(f: Callable[[float], float], n: int, x: float) -> float:
 
 
 def bernstein_shifted(f: Callable[[float], float], n: int, x: float, iv: Interval) -> float:
-    """Bernstein operator of f on iv, nodes equally spaced over iv."""
-    if n == 0:
-        if not iv.contains(x):
-            raise ValueError(f"{x} outside [{iv.alpha}, {iv.beta}]")
-        return float(f(iv.alpha))
-    nodes = iv.from_unit(np.arange(n + 1) / n)
+    """Bernstein operator of f on iv, nodes equally spaced over iv. A NaN or
+    inf value of f raises ValueError naming its node."""
+    row = basis_shifted_row(n, x, iv)
+    nodes = iv.from_unit(np.arange(n + 1) / n) if n else [iv.alpha]
     fvals = np.array([f(t) for t in nodes])
-    return float(basis_shifted_row(n, x, iv) @ fvals)
+    check_f_values(fvals, lambda i: (float(nodes[i]),))
+    return float(row @ fvals) if n else float(fvals[0])
 
 
 @dataclass(frozen=True)

@@ -253,3 +253,10 @@ class TestVoronovskaja:
             probes = voronovskaja_probe(f, UNIT_SQUARE, (0.3, 0.4), [10, 20, 40, 80])
         scaled = [abs(s) for (_, _, s) in probes]
         assert max(scaled) / min(scaled) < 3.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_raises(self, value):
+        # f is finite at every node but not at the probe point itself
+        f = lambda a, b: value if (a, b) == (0.3, 0.4) else a * b
+        with pytest.raises(ValueError, match=rf"f\(0\.3, 0\.4\) = {value} is not finite"):
+            voronovskaja_probe(f, UNIT_SQUARE, (0.3, 0.4), [10], NodeSchedule.constant(4))

@@ -20,6 +20,7 @@ from diskbern.disk import (
     simplex_bernstein,
     square_bernstein,
 )
+from diskbern.univariate import log_factorials
 
 RNG = np.random.default_rng(20240819)
 
@@ -69,7 +70,64 @@ class TestSquare:
             square_bernstein(lambda x, y: 1.0, 3, NodeSchedule.constant(3), 1.2, 0.0)
 
 
+def simplex_multinomial(f, n, x, y):
+    """The classical multinomial operator on the simplex, summed directly:
+    an oracle for simplex_bernstein with the n-minus-k schedule, which runs
+    the Duffy path. Total on the closed triangle; log-space coefficients,
+    zero factors skipped by index."""
+    w = max(1.0 - x - y, 0.0)
+    lg = log_factorials(n)
+    total = 0.0
+    for k in range(n + 1):
+        if x == 0.0 and k > 0:
+            continue
+        for j in range(n - k + 1):
+            if y == 0.0 and j > 0:
+                continue
+            m = n - k - j
+            if w == 0.0 and m > 0:
+                continue
+            log_term = lg[n] - lg[k] - lg[j] - lg[m]
+            if k:
+                log_term += k * math.log(x)
+            if j:
+                log_term += j * math.log(y)
+            if m:
+                log_term += m * math.log(w)
+            total += math.exp(log_term) * f(k / n, j / n)
+    return total
+
+
+# vertices, (1, 0) among them, points on the three edges, and interior points
+SIMPLEX_POINTS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.0), (0.0, 0.6), (0.4, 0.6),
+                  (0.75, 0.25), (0.999, 0.0), (0.2, 0.3), (0.05, 0.9), (0.6, 0.15),
+                  (1.0 / 3.0, 1.0 / 3.0)]
+
+
 class TestSimplex:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_multinomial_oracle_matches_duffy_path(self, n):
+        for f in SMOOTH_FUNCTIONS:
+            for x, y in SIMPLEX_POINTS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # n_k = 0 at k = n is substituted
+                    v = simplex_bernstein(f, n, NodeSchedule.n_minus_k(), x, y)
+                assert v == pytest.approx(simplex_multinomial(f, n, x, y), rel=1e-12, abs=1e-11)
+
+    def test_n_minus_k_substitution_warns(self):
+        with pytest.warns(UserWarning, match="yields n_k=0"):
+            simplex_bernstein(lambda x, y: 1.0, 3, NodeSchedule.n_minus_k(), 0.2, 0.3)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.2), (0.2, math.nan), (math.inf, 0.0),
+                                       (0.0, -math.inf)])
+    @pytest.mark.parametrize("sched", [NodeSchedule.constant(3), NodeSchedule.n_minus_k()],
+                             ids=["constant", "n-minus-k"])
+    def test_non_finite_point_raises(self, sched, point):
+        calls = []
+        with pytest.raises(ValueError, match=r"point \(.+\) is not finite"):
+            simplex_bernstein(lambda x, y: calls.append((x, y)) or 1.0, 4, sched, *point)
+        assert calls == []
+
     def test_multinomial_reproduces_linear(self):
         f = lambda x, y: 3 * x - y + 0.5
         with warnings.catch_warnings():
@@ -99,6 +157,7 @@ class TestSimplex:
                 warnings.simplefilter("ignore")
                 v = simplex_bernstein(f, n, NodeSchedule.n_minus_k(), x, y)
             assert v == pytest.approx(brute, rel=1e-12)
+            assert simplex_multinomial(f, n, x, y) == pytest.approx(brute, rel=1e-12)
 
     def test_degenerate_corner(self):
         f = lambda x, y: math.cos(x) + y

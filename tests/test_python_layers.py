@@ -80,7 +80,7 @@ def test_sample_matches_per_point_calls(count):
         calls.append((type(x), type(y)))
         return ex.builtin(1)(x, y)
 
-    values = ex._sample(f, pts)
+    values = biv._sample_points(f, pts)
     expected = np.array([ex.builtin(1)(x, y) for x, y in pts]).reshape(count)
     assert values.shape == (count,)
     assert values.tobytes() == expected.tobytes()
@@ -88,15 +88,75 @@ def test_sample_matches_per_point_calls(count):
     assert len(calls) == count
 
 
+def recorded(f):
+    """f, recording each call's (x, y) and checking that both are Python floats."""
+    calls = []
+
+    def g(x, y):
+        assert type(x) is float and type(y) is float
+        calls.append((x, y))
+        return f(x, y)
+
+    return g, calls
+
+
+def same_calls(calls, expected):
+    """The same (x, y) in the same order, with the same bits, signs of zero included."""
+    assert len(calls) == len(expected)
+    assert np.array(calls).tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("q", list(Quadrant))
 def test_quadrant_node_table_matches_loop(q):
     f, n = ex.builtin(3), 23
-    roots = np.sqrt(np.arange(n + 1) / n)
-    expected = np.zeros((n + 1, n + 1))
+    roots = np.sqrt(np.arange(n + 1) / n).tolist()
+    expected, loop_calls = np.zeros((n + 1, n + 1)), []
     for k in range(n + 1):
         for j in range(n - k + 1):
-            expected[k, j] = f(q.sx * roots[k], q.sy * roots[j])
-    assert quadrant_node_table(f, n, q).tobytes() == expected.tobytes()
+            loop_calls.append((q.sx * roots[k], q.sy * roots[j]))
+            expected[k, j] = f(*loop_calls[-1])
+    g, calls = recorded(f)
+    assert quadrant_node_table(g, n, q).tobytes() == expected.tobytes()
+    same_calls(calls, loop_calls)  # once per node, in order of k, then j
+
+
+@pytest.mark.parametrize("n", [1, 2, 23])
+def test_chord_node_table_matches_loop(n):
+    """The Bstancu kernel's table against a per-row reference loop, call for call."""
+    f = ex.builtin(1)
+    xk = ((2 * np.arange(n + 1) - n) / n).tolist()
+    yscale = (2.0 * np.sqrt(np.arange(n + 1) * (n - np.arange(n + 1))) / n).tolist()
+    loop_calls = [(xk[k], jf * yscale[k]) for k in range(n + 1) for jf in xk]
+    expected = np.array([f(x, y) for x, y in loop_calls]).reshape(n + 1, n + 1)
+    g, calls = recorded(f)
+    table = biv._node_values(g, np.full(n + 1, n), disk._chord_nodes(n))
+    assert table.tobytes() == expected.tobytes()
+    same_calls(calls, loop_calls)
+    calls.clear()
+    ex.disk_operator("Bstancu", n)(g, [(0.1, 0.2), (-0.5, 0.0), (1.0, 0.0)])
+    same_calls(calls, loop_calls)
+
+
+def test_scalar_node_table_matches_loop():
+    """_sample_rows: f at the nodes of the live rows only, call for call,
+    and a repeated key makes no call."""
+    f, n = ex.builtin(2), 6
+    counts = np.array([3, 1, 4, 1, 5, 9, 2])
+    outer = np.array([0.5, 0.0, 0.25, 0.0, 0.125, 0.125, 0.0])
+    loop_calls, expected = [], np.zeros((n + 1, 10))
+    for k in range(n + 1):
+        if outer[k] == 0.0:
+            continue
+        nk = int(counts[k])
+        for j in range(nk + 1):
+            loop_calls.append((k / n, (j / nk) * (1.0 - k / n)))
+            expected[k, j] = f(*loop_calls[-1])
+    g, calls = recorded(f)
+    nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # simplex_bernstein's
+    for _ in range(2):
+        table = biv._sample_rows(g, outer, counts, nodes, ("test", n))
+        assert table.tobytes() == expected.tobytes()
+        same_calls(calls, loop_calls)
 
 
 def reference_basis_rows(n, xs, log=np.log, log1p=np.log1p):

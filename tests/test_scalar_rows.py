@@ -406,6 +406,7 @@ SCALAR_OPS = {
     "ball_stancu_n_minus_k": lambda f, n: disk.ball_stancu(f, n, NodeSchedule.n_minus_k(), 0.1, 0.1),
     "square_bernstein": lambda f, n: disk.square_bernstein(f, n, NodeSchedule.constant(3), 0.2, -0.4),
     "simplex_duffy": lambda f, n: disk.simplex_bernstein(f, n, NodeSchedule.constant(3), 0.2, 0.3),
+    # the multinomial operator: the n-minus-k schedule, on the Duffy path like the others
     "simplex_multinomial": lambda f, n: disk.simplex_bernstein(f, n, NodeSchedule.n_minus_k(), 0.2, 0.3),
     "bivariate_stancu": lambda f, n: biv.stancu(f, DISK, n, NodeSchedule.constant(3), 0.1, 0.1),
     "piecewise_stancu_disk": lambda f, n: disk.piecewise_stancu_disk(f, n, 0.1, 0.1),
@@ -498,9 +499,7 @@ def test_repeated_call_reuses_the_node_table(name, hashable):
     sampled = list(calls)
     assert sampled
     assert bits(SCALAR_OPS[name](g, 5)) == bits(first)
-    # the n-minus-k simplex is the multinomial sum, which has no node table
-    memoized = hashable and name != "simplex_multinomial"
-    assert calls[len(sampled):] == ([] if memoized else sampled)
+    assert calls[len(sampled):] == ([] if hashable else sampled)
 
 
 def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch):

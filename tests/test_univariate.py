@@ -196,6 +196,20 @@ class TestBernsteinOperator:
                 bernstein(f, 9, x), abs=1e-14
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_raises_naming_the_node(self, value):
+        f = lambda t: value if t > 0.5 else 1.0
+        # the first node past 0.5 is 0.75 on [0, 1] and 1.25 on [-1, 2]
+        with pytest.raises(ValueError, match=rf"f\(0\.75\) = {value} is not finite"):
+            bernstein(f, 4, 0.3)
+        with pytest.raises(ValueError, match=rf"f\(1\.25\) = {value} is not finite"):
+            bernstein_shifted(f, 4, 0.3, Interval(-1.0, 2.0))
+        # n = 0 samples its one node, the left end
+        with pytest.raises(ValueError, match=rf"f\(0\.0\) = {value} is not finite"):
+            bernstein(lambda t: value, 0, 0.7)
+        with pytest.raises(ValueError, match=rf"f\(-1\.0\) = {value} is not finite"):
+            bernstein_shifted(lambda t: value, 0, 0.7, Interval(-1.0, 2.0))
+
     def test_monotone_convergence_for_convex(self):
         # for convex f the Bernstein approximants decrease monotonically in n
         f = lambda t: math.exp(2 * t)
