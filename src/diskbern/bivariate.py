@@ -15,7 +15,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import (Interval, _row_triangle, basis_row, bernstein, bernstein_shifted,
+from .univariate import (_EPS, Interval, _row_triangle, basis_row, bernstein, bernstein_shifted,
                          check_f_values)
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "monomial_image",
     "voronovskaja_probe",
 ]
-
-_EPS = 1e-12
 
 
 @dataclass(eq=False)

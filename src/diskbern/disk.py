@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bivariate import NodeSchedule, _nested_sum, _node_table, _node_values, _sample_rows
-from .univariate import Interval, basis_row, check_f_values
+from .univariate import _EPS, Interval, basis_row, check_f_values
 
 __all__ = [
     "Quadrant",
@@ -35,9 +35,7 @@ __all__ = [
     "quadrant_node_table",
 ]
 
-# Shared with the batch kernels in experiments: a row of width <= _EPS has
-# collapsed, and (x, y) is in the unit disk while x^2 + y^2 <= 1 + _SLACK.
-_EPS = 1e-12
+# (x, y) is in the unit disk while x^2 + y^2 <= 1 + _SLACK, here and in experiments.
 _SLACK = 1e-9
 
 
@@ -142,14 +140,34 @@ def _chord_nodes(n: int) -> Callable:
     return lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n))
 
 
+def _node_roots(n: int) -> np.ndarray:
+    """sqrt(k/n), k = 0..n: the degree-n quadrant node coordinates up to sign."""
+    return np.sqrt(np.arange(n + 1) / n)
+
+
 def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
     """f sampled at the quadrant operator nodes (sx sqrt(k/n), sy sqrt(j/n)),
     j <= n - k; returned as a lower-triangular (n+1, n+1) table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    roots = np.sqrt(np.arange(n + 1) / n)
+    roots = _node_roots(n)
     return _node_values(f, n - np.arange(n + 1), lambda k, j, _: (q.sx * roots[k], q.sy * roots[j]))
+
+
+def _quadrant_node_index(pts: np.ndarray, n: int) -> tuple[np.ndarray, ...] | None:
+    """Per point of pts, an (m, 2) array, its quadrant's index in Quadrant and
+    its (k, j) when every point has the bits of node (k, j) of its quadrant's
+    quadrant_node_table at degree n, else None. The quadrant is that of the
+    sign bits: a +0.0 on an axis is read from a quadrant whose sign there is +."""
+    x, y = pts.T
+    k, j = np.rint(n * np.clip(pts.T, -2.0, 2.0) ** 2)  # clipped: no overflow, and still no node
+    if not np.all(k + j <= n):  # also false for a NaN or inf coordinate
+        return None
+    roots, k, j = _node_roots(n), k.astype(np.int32), j.astype(np.int32)
+    if np.all(np.copysign(roots[k], x) == x) and np.all(np.copysign(roots[j], y) == y):
+        return np.signbit(x) ^ np.signbit(y) * np.int8(3), k, j  # B1, B2, B3, B4 = 0, 1, 2, 3
+    return None
 
 
 def _memo_quadrant_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
@@ -286,10 +304,8 @@ def axis_continuity_check(
     # Both constructions evaluate the same closed form, so each quadrant's
     # node table is built once and shared by every axis point.
     tables = {q: _memo_quadrant_table(f, n, q) for q in Quadrant}
-    rs = np.linspace(0.0, 1.0, samples + 1)[1:] if samples > 1 else np.array([1.0])
-    rs = np.concatenate(([0.0], rs))
     worst = 0.0
-    for r in rs:
+    for r in np.linspace(0.0, 1.0, samples + 1):
         for axis, (qa, qb) in _ADJACENT.items():
             if axis.startswith("x"):
                 pt = (math.copysign(r, 1 if axis == "x+" else -1), 0.0)

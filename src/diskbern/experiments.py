@@ -17,8 +17,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bivariate import _node_values, _sample_points
-from .disk import _EPS, _SLACK, Quadrant, _chord_nodes, quadrant_node_table
-from .univariate import _degree_rows, basis_rows
+from .disk import (_SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_node_index,
+                   quadrant_node_table)
+from .univariate import _EPS, _degree_rows, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -189,15 +190,14 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
     origin). nominal_size stays at the published 2n(n+1).
     """
     n = _degree(n)
-    roots = np.sqrt(np.arange(n + 1) / n)
+    roots = _node_roots(n)
     pts = np.empty((2 * n * (n + 1) + 1 if dedup else 2 * (n + 1) * (n + 2), 2))
     a = 0
     for q in _QUADRANTS:
-        sx, sy = q.value
         k, j = _quadrant_indices(n, q, dedup)
         block = pts[a:a + k.size]
-        block[:, 0] = sx * roots[k] + 0.0
-        block[:, 1] = sy * roots[j] + 0.0
+        block[:, 0] = q.sx * roots[k] + 0.0
+        block[:, 1] = q.sy * roots[j] + 0.0
         a += k.size
     return MeshSpec("quadrant", n, dedup, pts, 2 * n * (n + 1))
 
@@ -363,12 +363,14 @@ def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.ndarray | None]],
-                          pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Piecewise quadrant-polynomial values at many points for every degree
-    in degrees (distinct, ascending), as a (len(degrees), len(pts)) array,
-    dispatching each point to its quadrant. tables[d][i] is the node table
-    of degree degrees[d] and quadrant _QUADRANTS[i], sampled by the caller;
-    it may be None where no point lies in that quadrant.
+                          u: np.ndarray, t: np.ndarray, quad: np.ndarray,
+                          threads: int | None = None) -> np.ndarray:
+    """Piecewise quadrant-polynomial values for every degree in degrees
+    (distinct, ascending) at the points whose _quadrant_coordinates are
+    (u, t, quad), as a (len(degrees), len(u)) array, each point from its
+    quadrant's table. tables[d][i] is the node table of degree degrees[d]
+    and quadrant _QUADRANTS[i], sampled by the caller; it may be None where
+    no point lies in that quadrant.
 
     One sweep of _degree_rows(max(degrees), t) per group serves every
     degree: the rows of degree m go to operator n at k = n - m. As m falls,
@@ -377,29 +379,26 @@ def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.n
     group's quadrants' tables go into one (4, T) buffer, from which one
     gather takes every point's term.
     """
-    u, t, quad = _quadrant_coordinates(pts)
-
     def evaluate(g: _Group) -> np.ndarray:
         gq = quad[g.points]
         present = np.flatnonzero(np.bincount(gq, minlength=len(_QUADRANTS)))
         d = np.empty((len(_QUADRANTS), g.t.size))  # per quadrant, the rows times its table
         at = gq * g.t.size + g.ti  # each point's product in d, flat
         values = np.zeros((len(degrees), g.points.size))
-        # per degree, ascending: its u rows, its sums and its quadrants' product rows and tables
-        waiting = [(n, basis_rows(n, g.u).T.copy(), acc, [(d[i], tables[x][i]) for i in present])
-                   for x, (n, acc) in enumerate(zip(degrees, values))]
-        active = []  # the degrees n >= m, moved from waiting as m falls
+        # per degree: its u rows, its sums and its quadrants' product rows and tables
+        per_degree = [(n, basis_rows(n, g.u).T.copy(), acc, [(d[i], tables[x][i]) for i in present])
+                      for x, (n, acc) in enumerate(zip(degrees, values))]
         for m, rows in zip(range(degrees[-1], -1, -1), _degree_rows(degrees[-1], g.t)):
-            while waiting and waiting[-1][0] >= m:
-                active.append(waiting.pop())
-            for n, pu, acc, products in active:
+            for n, pu, acc, products in per_degree:
+                if n < m:
+                    continue
                 k = n - m
                 for out, tab in products:
                     np.matmul(rows, tab[k, : m + 1], out=out)
                 acc += pu[k].take(g.ui) * d.take(at)
         return values
 
-    return _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(pts)), threads)
+    return _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(u)), threads)
 
 
 def _sweeps(degrees: Sequence[int]) -> list[list[int]]:
@@ -444,13 +443,14 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
         return np.zeros((len(ns), 0))
     degrees = sorted(set(ns))
     if kind in ("Cbar", "Bbar"):
-        present = np.bincount(_quadrant_coordinates(pts)[2], minlength=len(_QUADRANTS)) > 0
+        u, t, quad = _quadrant_coordinates(pts)
+        present = np.bincount(quad, minlength=len(_QUADRANTS)) > 0
         values = {}
         for sweep in _sweeps(degrees):  # one sweep's tables live at a time
             values.update(zip(sweep, _piecewise_disk_batch(
                 sweep, [[quadrant_node_table(f, n, q) if here else None
                          for q, here in zip(_QUADRANTS, present)] for n in sweep],
-                pts, threads)))
+                u, t, quad, threads)))
     elif kind == "Bstancu":
         values = {n: _chord_disk_batch(f, n, pts, threads) for n in degrees}
     else:
@@ -489,37 +489,23 @@ class RmseReport:
     mesh_sizes: tuple[tuple[int, int], ...]
 
 
-def _mesh_node_values(mesh: MeshSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """f at the points of a quadrant mesh, read from the four node tables of
-    its degree. The mesh stores sx sqrt(k/n) + 0.0, which is +0.0 on an
-    axis, so a point with k = 0 (j = 0) is read from a quadrant with sx = +1
-    (sy = +1): the node with the same coordinate bits."""
-    z = np.empty(len(mesh.points))
-    a = 0
-    for (name,), k, j in mesh.label_segments():
-        sx, sy = Quadrant[name].value
-        neg_x, neg_y = (k > 0) & (sx < 0), (j > 0) & (sy < 0)
-        src = np.where(neg_y, np.where(neg_x, 2, 3), np.where(neg_x, 1, 0))  # index into _QUADRANTS
-        seg = z[a:a + k.size]
-        for i, tab in enumerate(tables):
-            sel = src == i
-            seg[sel] = tab[k[sel], j[sel]]
-        a += k.size
-    return z
-
-
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
                        mesh: MeshSpec, threads: int) -> float:
-    """fsum of (f - op f)^2 over the mesh points. Cbar and Bbar on the
-    quadrant mesh of their own degree sample f once, at their node tables,
-    which hold f at every mesh point too."""
-    if op.kind != "Bstancu" and mesh.kind == "quadrant" and mesh.n == op.n:
-        tables = [quadrant_node_table(f, op.n, q) for q in _QUADRANTS]
-        z = _mesh_node_values(mesh, tables)
-        sq = _piecewise_disk_batch((op.n,), [tables], _checked_points(mesh.points), threads)[0]
+    """fsum of (f - op f)^2 over the mesh points. When every point is a node
+    of Cbar or Bbar, f is sampled once, at its four node tables."""
+    pts = mesh.points
+    nodes = _quadrant_node_index(pts, op.n) if op.kind != "Bstancu" and len(pts) else None
+    if nodes is None:
+        z = _sample_points(f, pts)
+        sq = op(f, pts, threads=threads)
     else:
-        z = _sample_points(f, mesh.points)
-        sq = op(f, mesh.points, threads=threads)
+        tables = [quadrant_node_table(f, op.n, q) for q in _QUADRANTS]
+        z = np.empty(len(pts))
+        for i, tab in enumerate(tables):  # one table at a time, never stacked
+            sel = nodes[0] == i  # nodes is (quadrant, k, j)
+            z[sel] = tab[nodes[1][sel], nodes[2][sel]]
+        del nodes, sel  # freed before the kernel, which sets the cell's peak memory
+        sq = _piecewise_disk_batch((op.n,), [tables], *_quadrant_coordinates(pts), threads)[0]
     np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
     sq *= sq
     return math.fsum(sq)

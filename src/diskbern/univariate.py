@@ -280,9 +280,9 @@ def bernstein_shifted(f: Callable[[float], float], n: int, x: float, iv: Interva
     """Bernstein operator of f on iv, nodes equally spaced over iv. A NaN or
     inf value of f raises ValueError naming its node."""
     row = basis_shifted_row(n, x, iv)
-    nodes = iv.from_unit(np.arange(n + 1) / n) if n else [iv.alpha]
+    nodes = iv.from_unit(np.arange(n + 1) / n).tolist() if n else [float(iv.alpha)]
     fvals = np.array([f(t) for t in nodes])
-    check_f_values(fvals, lambda i: (float(nodes[i]),))
+    check_f_values(fvals, lambda i: (nodes[i],))
     return float(row @ fvals) if n else float(fvals[0])
 
 

@@ -8,6 +8,7 @@ both denominators from one sum, and nonsense thread counts and degrees fail
 before any work.
 """
 
+import dataclasses
 import math
 import sys
 import threading
@@ -17,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diskbern import disk
 from diskbern import experiments as ex
 from diskbern.univariate import _degree_rows, basis_rows
 
@@ -248,7 +250,9 @@ def test_quadrant_cell_reads_f_from_its_node_tables_with_the_per_point_bits(n, d
     for f in (signs, ex.builtin(1), ex.builtin(4)):
         tables = [ex.quadrant_node_table(f, n, q) for q in ex._QUADRANTS]
         z = np.array([f(x, y) for x, y in mesh.points.tolist()])
-        assert ex._mesh_node_values(mesh, tables).tobytes() == z.tobytes()
+        quad, k, j = disk._quadrant_node_index(mesh.points, n)
+        read = np.array([tables[q][a, b] for q, a, b in zip(quad.tolist(), k.tolist(), j.tolist())])
+        assert read.tobytes() == z.tobytes()
         for kind in ("Cbar", "Bbar"):
             op = ex.disk_operator(kind, n)
             for denominator in ("nominal", "actual"):
@@ -273,6 +277,69 @@ def test_other_cells_still_sample_f_at_every_mesh_point(kind, n, mesh):
         counted = Counted(f)
         assert ex.rmse(counted, op, mesh) == per_point_rmse(f, op, mesh, "nominal")
         assert counted.calls == len(mesh.points) + nodes.calls
+
+
+def node_point_sets(n):
+    """Point sets of Cbar and Bbar at degree n whose every point is a node,
+    though MeshSpec's fields do not say so or say otherwise."""
+    mesh = ex.mesh_quadrant_disk(n)
+    zeros = mesh.points.copy()
+    zeros[zeros == 0.0] = -0.0  # read from the quadrants whose sign there is -
+    return {"reversed": dataclasses.replace(mesh, points=mesh.points[::-1].copy()),
+            "every other": dataclasses.replace(mesh, points=mesh.points[::2].copy()),
+            "dedup field False": dataclasses.replace(mesh, dedup=False),
+            "signed zeros": dataclasses.replace(mesh, points=zeros),
+            "degree m | n": ex.mesh_quadrant_disk({8: 4, 9: 3}[n])}
+
+
+@pytest.mark.parametrize("points", ["reversed", "every other", "dedup field False",
+                                    "signed zeros", "degree m | n"])
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("kind", ["Cbar", "Bbar"])
+def test_any_node_point_set_reads_f_from_the_node_tables(kind, n, points):
+    mesh, op = node_point_sets(n)[points], ex.disk_operator(kind, n)
+    for f in (signs, *map(ex.builtin, (1, 2, 3, 4))):
+        for denominator in ("nominal", "actual"):
+            counted = Counted(f)
+            assert ex.rmse(counted, op, mesh, denominator=denominator) == per_point_rmse(
+                f, op, mesh, denominator)
+            assert counted.calls == 2 * (n + 1) * (n + 2)  # the four node tables alone
+
+
+def off_node_point_sets():
+    mesh = ex.mesh_quadrant_disk(7)
+    moved = mesh.points.copy()
+    moved[9, 1] = np.nextafter(moved[9, 1], 2.0)
+    return {"one ulp off": dataclasses.replace(mesh, points=moved),
+            "empty": dataclasses.replace(mesh, points=np.empty((0, 2))),
+            "chord, quadrant fields": dataclasses.replace(ex.mesh_stancu_disk(7), kind="quadrant")}
+
+
+@pytest.mark.parametrize("points", ["one ulp off", "empty", "chord, quadrant fields"])
+def test_a_point_off_the_nodes_samples_f_at_every_point(points):
+    mesh, op = off_node_point_sets()[points], ex.disk_operator("Cbar", 7)
+    for f in (signs, ex.builtin(2)):
+        nodes = Counted(f)
+        op(nodes, mesh.points)
+        counted = Counted(f)
+        assert ex.rmse(counted, op, mesh) == per_point_rmse(f, op, mesh, "nominal")
+        assert counted.calls == len(mesh.points) + nodes.calls
+
+
+def test_node_index_takes_only_the_bits_of_a_node():
+    n = 6
+    pts = ex.mesh_quadrant_disk(n, dedup=False).points
+    quad, k, j = disk._quadrant_node_index(pts, n)
+    roots = np.sqrt(np.arange(n + 1) / n)
+    signs_of = np.array([q.value for q in ex._QUADRANTS])[quad]
+    nodes = np.column_stack((signs_of[:, 0] * roots[k], signs_of[:, 1] * roots[j]))
+    assert nodes.tobytes() == pts.tobytes()  # the signs of zero too
+    quad2, k2, j2 = disk._quadrant_node_index(pts, 2 * n)  # a degree-n node is one of degree 2n
+    assert np.array_equal(quad2, quad) and np.array_equal(k2, 2 * k) and np.array_equal(j2, 2 * j)
+    for bad in (np.nextafter(pts[9], 2.0), [math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0],
+                [1.0, 1.0], [0.5, 0.5]):
+        assert disk._quadrant_node_index(np.vstack((pts, [bad])), n) is None
+    assert disk._quadrant_node_index(pts, n - 1) is None
 
 
 @pytest.mark.parametrize("example", [1, 2, 3, 4])

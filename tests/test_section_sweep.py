@@ -134,7 +134,8 @@ def test_one_gather_per_degree_bit_equal_to_per_member_loop(points, degrees):
     tables = [[disk.quadrant_node_table(f, n, q) if np.any(quad == i) else None
                for i, q in enumerate(ex._QUADRANTS)] for n in degrees]
     for threads in (1, 2, 3):
-        assert ex._piecewise_disk_batch(degrees, tables, pts, threads).tobytes() == expected
+        values = ex._piecewise_disk_batch(degrees, tables, *ex._quadrant_coordinates(pts), threads)
+        assert values.tobytes() == expected
 
 
 @pytest.mark.parametrize("degrees, sweeps", [

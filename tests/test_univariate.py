@@ -279,3 +279,29 @@ class TestCTau:
         bad = Transform1D(lambda x: x + 0.2, lambda x: x - 0.2)
         with pytest.raises(ValueError):
             c_tau(lambda t: t, bad, 4, 0.5)
+
+
+def test_f_gets_python_floats():
+    """The 1-D operators, and the bordered determinant through LiftedField,
+    call f with Python floats, never numpy scalars."""
+    from diskbern.bivariate import UNIT_SQUARE, NodeSchedule, stancu_determinant
+
+    seen = []
+
+    def f(*args):
+        seen.append(tuple(map(type, args)))
+        return math.fsum(args)
+
+    shifted = Interval(-1.0, 2.0)
+    calls = {
+        "bernstein": [lambda n=n: bernstein(f, n, 0.3) for n in (0, 1, 5)],
+        "c_tau": [lambda n=n: c_tau(f, identity_transform(), n, 0.3) for n in (0, 1, 5)],
+        "c_tau_shifted": [lambda: c_tau_shifted(f, identity_transform(shifted), 5, 0.3, shifted)],
+        "stancu_determinant": [lambda: stancu_determinant(f, UNIT_SQUARE, 4,
+                                                          NodeSchedule.constant(3), 0.3, 0.4)],
+    }
+    for name, runs in calls.items():
+        for run in runs:
+            seen.clear()
+            run()
+            assert seen and all(all(t is float for t in types) for types in seen), (name, seen)
