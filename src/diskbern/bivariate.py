@@ -15,8 +15,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import (_EPS, Interval, _row_triangle, basis_row, bernstein, bernstein_shifted,
-                         check_f_values)
+from .univariate import (_EPS, Interval, _degree, _row_triangle, basis_row, bernstein,
+                         bernstein_shifted, check_f_values)
 
 __all__ = [
     "CurvilinearDomain",
@@ -111,8 +111,7 @@ class NodeSchedule:
         return cls("k")
 
     def counts(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _degree(n)
         k = np.arange(n + 1)
         if self.kind == "constant":
             raw = np.full(n + 1, self.m)
@@ -200,32 +199,32 @@ def _sample_points(f: Callable[[float, float], float], pts: np.ndarray) -> np.nd
     return out
 
 
-def _node_values(f: Callable[[float, float], float], counts: np.ndarray, nodes: Callable,
-                 live: np.ndarray | None = None) -> np.ndarray:
-    """f at the nodes (k, j), j <= counts[k], of the rows k where live is
-    true (every row when live is None), as a table that is zero elsewhere.
-    nodes(k, j, n_k), given k and n_k as columns and j as a row, returns the
-    node coordinates (x, y), x constant along a row. f gets Python floats,
-    one x per row, in order of k, then j, once per node. A NaN or inf value
-    raises ValueError naming the first such node in that order.
+def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
+                 nodes: Callable) -> np.ndarray:
+    """f at the nodes (k, j), j <= counts[k], as a table that is zero
+    elsewhere. nodes(k, j, n_k), given k and n_k as columns and j as a row,
+    returns the node coordinates (x, y), x constant along a row. f gets
+    Python floats, one x per row, in order of k, then j, once per node. A
+    NaN or inf value raises ValueError naming the first such node in that
+    order.
     """
     k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
     x, y = nodes(k, j, nk)
     x = np.broadcast_to(x, (k.size, 1)).ravel().tolist()
     y = np.broadcast_to(y, (k.size, j.size))
     table = np.zeros(y.shape)
-    sizes = (counts + 1).tolist()
-    for r in range(k.size) if live is None else np.flatnonzero(live).tolist():
-        xr, m = x[r], sizes[r]
+    for r, m in enumerate((counts + 1).tolist()):
+        xr = x[r]
         table[r, :m] = [f(xr, v) for v in y[r, :m].tolist()]
     check_f_values(table, lambda i: (x[i // j.size], float(y[i // j.size, i % j.size])))
     return table
 
 
 # The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
-# domain or quadrant[, live-row mask]) and evicted least recently used once
-# they hold more than _NODE_TABLE_BYTES. f is treated as a pure function of
-# (x, y): a repeated key reuses the table instead of calling f again.
+# domain or quadrant) and evicted least recently used once they hold more
+# than _NODE_TABLE_BYTES. Each is the whole table of its node set, whatever
+# rows the point weights. f is treated as a pure function of (x, y): a
+# repeated key reuses the table instead of calling f again.
 _NODE_TABLE_BYTES = 8 << 20
 _node_tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _node_table_bytes = 0
@@ -265,14 +264,12 @@ def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> n
     return table
 
 
-def _sample_rows(f: Callable[[float, float], float], outer: np.ndarray, counts: np.ndarray,
-                 nodes: Callable, key: tuple[Hashable, ...]) -> np.ndarray:
-    """_node_values(f, counts, nodes) at the rows k with nonzero outer
-    weight, read through _node_table under (f, *key, live-row mask); key
-    names the operator's node set.
+def _sample_rows(f: Callable[[float, float], float], counts: np.ndarray, nodes: Callable,
+                 key: tuple[Hashable, ...]) -> np.ndarray:
+    """_node_values(f, counts, nodes), every row, read through _node_table
+    under (f, *key); key names the operator's node set.
     """
-    live = outer != 0.0
-    return _node_table((f, *key, live.tobytes()), lambda: _node_values(f, counts, nodes, live))
+    return _node_table((f, *key), lambda: _node_values(f, counts, nodes))
 
 
 def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarray) -> float:
@@ -319,7 +316,7 @@ def stancu(
         xk, width, low = _node_map(dom, n)
         return xk[k], width[k] * j / nk + low[k]
 
-    table = _sample_rows(f, outer, counts, nodes, ("stancu", n, sched, dom))
+    table = _sample_rows(f, counts, nodes, ("stancu", n, sched, dom))
     return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bivariate import NodeSchedule, _nested_sum, _node_table, _node_values, _sample_rows
-from .univariate import _EPS, Interval, basis_row, check_f_values
+from .univariate import _EPS, Interval, _degree, basis_row, check_f_values
 
 __all__ = [
     "Quadrant",
@@ -81,7 +81,7 @@ def square_bernstein(
     counts = sched.counts(n)
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
-    table = _sample_rows(f, px, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk),
+    table = _sample_rows(f, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk),
                          ("square", n, sched))
     return _nested_sum(px, ty, counts, table)
 
@@ -102,14 +102,12 @@ def simplex_bernstein(
         raise ValueError(f"point ({x}, {y}) is not finite")
     if x < -_EPS or y < -_EPS or x + y > 1.0 + _SLACK:
         raise ValueError(f"point ({x}, {y}) outside the simplex")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     x = max(x, 0.0)
     y = max(y, 0.0)
     counts = sched.counts(n)
     px = basis_row(n, min(x, 1.0))
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
-    table = _sample_rows(f, px, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
+    table = _sample_rows(f, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
                          ("simplex", n, sched))
     return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
 
@@ -130,7 +128,7 @@ def ball_stancu(
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    table = _sample_rows(f, px, counts, _chord_nodes(n), ("ball", n, sched))
+    table = _sample_rows(f, counts, _chord_nodes(n), ("ball", n, sched))
     return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
 
 
@@ -149,8 +147,7 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     """f sampled at the quadrant operator nodes (sx sqrt(k/n), sy sqrt(j/n)),
     j <= n - k; returned as a lower-triangular (n+1, n+1) table.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _degree(n)
     roots = _node_roots(n)
     return _node_values(f, n - np.arange(n + 1), lambda k, j, _: (q.sx * roots[k], q.sy * roots[j]))
 
@@ -171,7 +168,10 @@ def _quadrant_node_index(pts: np.ndarray, n: int) -> tuple[np.ndarray, ...] | No
 
 
 def _memo_quadrant_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
-    """quadrant_node_table(f, n, q), read through the scalar node-table memo."""
+    """quadrant_node_table(f, n, q), read through the scalar node-table memo.
+    n is checked before the lookup, so n = 3.0 raises rather than read the
+    table stored under the equal key of n = 3."""
+    n = _degree(n)
     return _node_table((f, "quadrant", n, q), lambda: quadrant_node_table(f, n, q))
 
 
@@ -272,7 +272,7 @@ def piecewise_stancu_disk(f: Callable[[float, float], float], n: int, x: float, 
     adjacent quadrants, ties broken toward B1 > B2 > B3 > B4.
     """
     check_disk_point(x, y)
-    return quadrant_stancu(f, _dispatch_quadrant(x, y), n, x, y)
+    return _closed_form_value(_memo_quadrant_table(f, n, _dispatch_quadrant(x, y)), n, x, y)
 
 
 piecewise_bernstein_type_disk = piecewise_stancu_disk

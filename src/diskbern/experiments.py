@@ -19,7 +19,7 @@ import numpy as np
 from .bivariate import _node_values, _sample_points
 from .disk import (_SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_node_index,
                    quadrant_node_table)
-from .univariate import _EPS, _degree_rows, basis_rows
+from .univariate import _EPS, _degree, _degree_rows, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -87,17 +87,6 @@ def builtin(example_id: int | str) -> Callable[[float, float], float]:
 
 # ---------------------------------------------------------------------------
 # Meshes
-
-
-def _degree(n) -> int:
-    """n as an int; ValueError unless it is an integer >= 1."""
-    try:
-        value = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
-    if value < 1:
-        raise ValueError("n must be >= 1")
-    return value
 
 
 def _threads(threads):
@@ -428,9 +417,10 @@ def _checked_points(pts) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
         raise ValueError(f"mesh point index {bad} is not finite")
-    if np.any(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK):
-        bad = int(np.argmax(pts[:, 0] ** 2 + pts[:, 1] ** 2))
-        raise ValueError(f"mesh point index {bad} outside the unit disk")
+    with np.errstate(over="ignore"):  # a square above the float range is inf: outside
+        outside = pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK
+    if outside.any():
+        raise ValueError(f"mesh point index {int(outside.argmax())} outside the unit disk")
     return pts
 
 
@@ -491,13 +481,14 @@ class RmseReport:
 
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
                        mesh: MeshSpec, threads: int) -> float:
-    """fsum of (f - op f)^2 over the mesh points. When every point is a node
-    of Cbar or Bbar, f is sampled once, at its four node tables."""
-    pts = mesh.points
+    """fsum of (f - op f)^2 over the mesh points, which are checked before f
+    is called. When every point is a node of Cbar or Bbar, f is sampled
+    once, at its four node tables."""
+    pts = _checked_points(mesh.points)
     nodes = _quadrant_node_index(pts, op.n) if op.kind != "Bstancu" and len(pts) else None
     if nodes is None:
         z = _sample_points(f, pts)
-        sq = op(f, pts, threads=threads)
+        sq = _operator_values(op.kind, f, (op.n,), pts, threads)[0]
     else:
         tables = [quadrant_node_table(f, op.n, q) for q in _QUADRANTS]
         z = np.empty(len(pts))

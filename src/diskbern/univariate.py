@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,6 +68,17 @@ class Interval:
 
 
 UNIT_INTERVAL = Interval(0.0, 1.0)
+
+
+def _degree(n) -> int:
+    """n as an int; ValueError unless it is an integer >= 1."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if value < 1:
+        raise ValueError("n must be >= 1")
+    return value
 
 
 def _check_unit(x: float) -> float:

@@ -44,11 +44,14 @@ class TestEval:
         assert "unknown function" in err
 
     def test_point_outside_disk_exits_2(self, capsys):
-        code, _, err = run(
-            ["eval", "--op", "Cbar", "--fn", "example1", "--n", "5", "--point", "0.9,0.9"],
-            capsys,
-        )
-        assert code == 2
+        # 1e200 squares past the float range: still outside, and no overflow warning
+        for point in ("0.9,0.9", "1e200,0"):
+            code, _, err = run(
+                ["eval", "--op", "Cbar", "--fn", "example1", "--n", "5", f"--point={point}"],
+                capsys,
+            )
+            assert code == 2
+            assert "mesh point index 0 outside the unit disk" in err
 
     @pytest.mark.parametrize("point", ["nan,0", "0,inf", "-inf,0"])
     def test_non_finite_point_exits_2(self, point, capsys):

@@ -1,5 +1,6 @@
 """Meshes, batch evaluation, RMSE statistics, and reporting."""
 
+import dataclasses
 import math
 import re
 
@@ -118,8 +119,12 @@ class TestBatchEvaluation:
         assert np.array_equal(a, b)
 
     def test_point_outside_disk_rejected(self):
-        with pytest.raises(ValueError):
-            ex.disk_operator("Cbar", 4)(ex.builtin(1), [(0.9, 0.9)])
+        # a coordinate whose square overflows is outside too, with no overflow warning;
+        # the first point outside is the one named
+        for kind in ("Cbar", "Bstancu"):
+            for bad in [(0.9, 0.9), (1e200, 0.0), (0.0, -1e300)]:
+                with pytest.raises(ValueError, match="mesh point index 0 outside the unit disk"):
+                    ex.disk_operator(kind, 4)(ex.builtin(1), [bad, (0.1, 0.2), (2.0, 0.0)])
 
     @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
     @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
@@ -196,6 +201,19 @@ class TestRmse:
         assert [n for n, _ in rc.entries] == [3, 5]
         assert [n for n, _ in rb.entries] == [3, 5]
         assert all(v > 0 for _, v in rc.entries)
+
+    @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
+    @pytest.mark.parametrize("bad, message", [((0.5, math.nan), "is not finite"),
+                                              ((1.5, 0.0), "outside the unit disk")])
+    def test_bad_mesh_point_raises_before_f_is_called(self, kind, bad, message):
+        mesh = ex.mesh_stancu_disk(20)
+        points = mesh.points.copy()
+        points[-1] = bad
+        calls = []
+        f = lambda x, y: calls.append((x, y)) or 1.0
+        with pytest.raises(ValueError, match=f"mesh point index 440 {message}"):
+            ex.rmse(f, ex.disk_operator(kind, 20), dataclasses.replace(mesh, points=points))
+        assert calls == []
 
     def test_reference_report_structure(self):
         cells = ex.reference_report(1, n_list=[10])

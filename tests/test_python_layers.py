@@ -138,15 +138,12 @@ def test_chord_node_table_matches_loop(n):
 
 
 def test_scalar_node_table_matches_loop():
-    """_sample_rows: f at the nodes of the live rows only, call for call,
-    and a repeated key makes no call."""
+    """_sample_rows: f at the nodes of every row, call for call, and a
+    repeated key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
-    outer = np.array([0.5, 0.0, 0.25, 0.0, 0.125, 0.125, 0.0])
     loop_calls, expected = [], np.zeros((n + 1, 10))
     for k in range(n + 1):
-        if outer[k] == 0.0:
-            continue
         nk = int(counts[k])
         for j in range(nk + 1):
             loop_calls.append((k / n, (j / nk) * (1.0 - k / n)))
@@ -154,7 +151,7 @@ def test_scalar_node_table_matches_loop():
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # simplex_bernstein's
     for _ in range(2):
-        table = biv._sample_rows(g, outer, counts, nodes, ("test", n))
+        table = biv._sample_rows(g, counts, nodes, ("test", n))
         assert table.tobytes() == expected.tobytes()
         same_calls(calls, loop_calls)
 

@@ -1,10 +1,11 @@
 """The scalar nested-Bernstein evaluator, checked bit for bit: the row
 triangle against basis_row at every degree, and each scalar operator against
 the per-k basis_row loop it replaced (kept here as the reference), with the
-same calls of f in the same order. Also non-finite f, degrees below 1 and
-the node-table memo: a repeated call reuses the table, a call at another
-live-row mask or with an unhashable f samples again, the memo stays under
-its byte bound and threads read it safely.
+same calls of f in the same order. Also non-finite f, degrees that are not
+integers >= 1, one node table per node set (a point that weights only some
+rows samples, and shares, the whole table) and the node-table memo: a
+repeated call reuses the table, a call with an unhashable f samples again,
+the memo stays under its byte bound and threads read it safely.
 """
 
 import importlib.util
@@ -75,20 +76,31 @@ def recording(f):
     return g, calls
 
 
-# The per-k loops the evaluator replaced, as they were.
+# The per-k loops the evaluator replaced, as they were, except that f is
+# sampled at every row's nodes before the sum, as the evaluator samples a
+# whole node table: rows of zero outer weight are sampled but not added.
+
+def loop_sum(outer, t, counts, fnodes):
+    total = 0.0
+    for k in range(len(outer)):
+        if outer[k] == 0.0:
+            continue
+        total += outer[k] * float(basis_row(int(counts[k]), t) @ fnodes[k])
+    return total
+
+
+def sampled_rows(f, counts, node):
+    """f at node(k, j, n_k), j <= n_k, one array per row k, in order of k, then j."""
+    return [np.array([f(*node(k, j, nk)) for j in range(nk + 1)])
+            for k, nk in enumerate(counts.tolist())]
+
 
 def loop_square(f, n, sched, x, y):
     counts = sched.counts(n)
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        nk = int(counts[k])
-        fvals = np.array([f((2 * k - n) / n, (2 * j - nk) / nk) for j in range(nk + 1)])
-        total += px[k] * float(basis_row(nk, ty) @ fvals)
-    return total
+    fnodes = sampled_rows(f, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk))
+    return loop_sum(px, ty, counts, fnodes)
 
 
 def loop_simplex(f, n, sched, x, y):
@@ -97,14 +109,8 @@ def loop_simplex(f, n, sched, x, y):
     px = basis_row(n, min(x, 1.0))
     t = y / (1.0 - x) if 1.0 - x > 1e-12 else 0.0
     t = min(max(t, 0.0), 1.0)
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        nk = int(counts[k])
-        fvals = np.array([f(k / n, (j / nk) * (1.0 - k / n)) for j in range(nk + 1)])
-        total += px[k] * float(basis_row(nk, t) @ fvals)
-    return total
+    fnodes = sampled_rows(f, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)))
+    return loop_sum(px, t, counts, fnodes)
 
 
 def loop_ball(f, n, sched, x, y):
@@ -113,15 +119,9 @@ def loop_ball(f, n, sched, x, y):
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > 1e-12 else 0.5
     t = min(max(t, 0.0), 1.0)
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        nk = int(counts[k])
-        yscale = 2.0 * math.sqrt(k * (n - k)) / n
-        fvals = np.array([f((2 * k - n) / n, (2 * j - nk) / nk * yscale) for j in range(nk + 1)])
-        total += px[k] * float(basis_row(nk, t) @ fvals)
-    return total
+    fnodes = sampled_rows(f, counts, lambda k, j, nk: (
+        (2 * k - n) / n, (2 * j - nk) / nk * (2.0 * math.sqrt(k * (n - k)) / n)))
+    return loop_sum(px, t, counts, fnodes)
 
 
 def loop_closed_form(table, n, x, y):
@@ -148,12 +148,7 @@ def loop_stancu(f, dom, n, sched, x, y):
         nk = int(counts[k])
         ys = dom.width(xk) * np.arange(nk + 1) / nk + dom.phi1(xk)
         fnodes.append(np.array([f(xk, v) for v in ys.tolist()]))
-    total = 0.0
-    for k in range(n + 1):
-        if outer[k] == 0.0:
-            continue
-        total += outer[k] * float(basis_row(int(counts[k]), t) @ fnodes[k])
-    return total
+    return loop_sum(outer, t, counts, fnodes)
 
 
 def same(new, old):
@@ -291,20 +286,8 @@ def test_bivariate_stancu_bit_equal_to_loop(dom, n, few):
     for e, (x, y) in zip([1, 2, 3, 4] * 9, pts):
         f = ex.builtin(e)
         for sched in schedules(n):
-            value, calls = run(biv.stancu, f, dom, n, sched, x, y)
-            expected, all_calls = run(loop_stancu, f, dom, n, sched, x, y)
-            # rows with zero outer weight (x = a or b) are no longer sampled
-            outer = basis_row(n, dom.x_interval.to_unit(x))
-            live_x = {dom.x_interval.from_unit(k / n) for k in np.flatnonzero(outer).tolist()}
-            same((value, calls), (expected, [c for c in all_calls if c[0] in live_x]))
-            if 0.0 < dom.x_interval.to_unit(x) < 1.0:
-                assert calls == all_calls
-
-
-def test_bivariate_stancu_skips_rows_without_weight():
-    g, calls = recording(ex.builtin(1))
-    biv.stancu(g, DISK, 10, NodeSchedule.constant(4), -1.0, 0.0)
-    assert calls == [(-1.0, 0.0)] * 5  # only row k = 0, whose chord has collapsed
+            same(run(biv.stancu, f, dom, n, sched, x, y),
+                 run(loop_stancu, f, dom, n, sched, x, y))
 
 
 def parent_stancu(f, dom, n, sched, x, y):
@@ -316,7 +299,7 @@ def parent_stancu(f, dom, n, sched, x, y):
     outer = basis_row(n, dom.x_interval.to_unit(x))
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
     width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
-    table = biv._sample_rows(f, outer, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
+    table = biv._sample_rows(f, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
                              ("parent_stancu", n, sched, dom))
     return biv._nested_sum(outer, biv._inner_t(dom, x, y), counts, table)
 
@@ -431,40 +414,88 @@ def test_non_finite_f_message_names_the_point():
         disk.square_bernstein(f, 4, NodeSchedule.constant(5), 0.0, 0.0)
 
 
-def test_f_at_a_node_without_weight_is_not_called():
-    # x = -1 gives the outer row weight only at k = 0, so a NaN elsewhere is never
-    # seen. The table stored there holds row 0 alone; an interior point weights
-    # every row, so after or before that call, with the same f, it samples them
-    # all and sees the NaN.
-    sched = NodeSchedule.constant(3)
-    for order in ([True, False, True], [False, True, True]):  # at x = -1 first, or last
-        f = lambda x, y: 2.0 if x == -1.0 else math.nan
-        for at_edge in order:
-            if at_edge:
-                assert disk.ball_stancu(f, 6, sched, -1.0, 0.0) == 2.0
-                assert math.isfinite(disk.square_bernstein(f, 6, sched, -1.0, 0.3))
-                continue
-            with pytest.raises(ValueError, match="is not finite"):
-                disk.ball_stancu(f, 6, sched, 0.2, 0.0)
-            with pytest.raises(ValueError, match="is not finite"):
-                disk.square_bernstein(f, 6, sched, 0.2, 0.3)
+def nan_off_row_0(x, y):
+    """Finite only on the collapsed chord x = -1, row k = 0 of ball_stancu."""
+    return 2.0 if x == -1.0 else math.nan
 
 
-@pytest.mark.parametrize("n", [0, -1])
+def test_scalar_and_batch_agree_on_f_off_the_weighted_rows():
+    # x = -1 weights only row 0, but both forms sample the whole node table
+    with pytest.raises(ValueError, match="is not finite"):
+        disk.ball_stancu(nan_off_row_0, 6, NodeSchedule.constant(6), -1.0, 0.0)
+    with pytest.raises(ValueError, match="is not finite"):
+        ex.disk_operator("Bstancu", 6)(nan_off_row_0, [(-1.0, 0.0)])
+
+
+# (operator, its loop, a point that weights only some rows, an interior point)
+END_AND_INTERIOR = {
+    "ball_stancu": (lambda op, f, x, y: op(f, 6, NodeSchedule.constant(3), x, y),
+                    disk.ball_stancu, loop_ball, (-1.0, 0.0), (0.2, 0.1)),
+    "square_bernstein": (lambda op, f, x, y: op(f, 6, NodeSchedule.k_index(), x, y),
+                         disk.square_bernstein, loop_square, (1.0, 0.3), (0.2, -0.4)),
+    "simplex_bernstein": (lambda op, f, x, y: op(f, 6, NodeSchedule.n_minus_k(), x, y),
+                          disk.simplex_bernstein, loop_simplex, (0.0, 0.7), (0.2, 0.3)),
+    "bivariate_stancu": (lambda op, f, x, y: op(f, DISK, 6, NodeSchedule.n_minus_k(), x, y),
+                         biv.stancu, loop_stancu, (1.0, 0.0), (0.1, -0.3)),
+}
+
+
+@pytest.mark.parametrize("end_first", [True, False], ids=["end-first", "interior-first"])
+@pytest.mark.parametrize("name", list(END_AND_INTERIOR))
+def test_end_point_and_interior_point_share_one_node_table(name, end_first):
+    call, op, loop, end, interior = END_AND_INTERIOR[name]
+    g, calls = recording(ex.builtin(2))
+    points = (end, interior) if end_first else (interior, end)
+    values = [call(op, g, x, y) for x, y in points]
+    # the first call samples the whole table, the second reuses it; both
+    # values have the bits of the loop, which samples every row
+    for (x, y), value in zip(points, values):
+        same((value, calls), run(lambda f: call(loop, f, x, y), ex.builtin(2)))
+
+
+def test_near_rim_points_sample_each_node_table_once():
+    """Near the rim the outer weights of far rows underflow to 0, at a
+    different set of rows for each point; each operator still samples its
+    node table once for all the points."""
+    n = 200
+    r = np.linspace(0.97, 0.99, 30)
+    a = np.linspace(-0.1, 0.1, 30) + np.pi * (np.arange(30) % 2)  # both ends of the x axis
+    pts = list(zip((r * np.cos(a)).tolist(), (r * np.sin(a)).tolist()))
+    const, n_minus_k = NodeSchedule.constant(n), NodeSchedule.n_minus_k()
+    g, calls = recording(ex.builtin(1))
+    for x, y in pts:
+        assert not basis_row(n, (x + 1.0) / 2.0).all()  # some row has no weight
+        disk.ball_stancu(g, n, const, x, y)
+        biv.stancu(g, DISK, n, n_minus_k, x, y)
+    assert len(calls) == (n + 1) ** 2 + (n + 1) * (n + 2) // 2 + 1 == 60703
+
+
+# a degree and the message it raises
+BAD_DEGREES = [(0, "n must be >= 1"), (-1, "n must be >= 1"),
+               (2.5, "n must be an integer, got 2.5"), (3.0, "n must be an integer, got 3.0")]
+
+
+@pytest.mark.parametrize("n, message", BAD_DEGREES, ids=[str(n) for n, _ in BAD_DEGREES])
 @pytest.mark.parametrize("name", list(SCALAR_OPS))
-def test_degree_below_one_raises(name, n):
-    with pytest.raises(ValueError, match="n must be >= 1"):
+def test_degree_below_one_raises(name, n, message):
+    with pytest.raises(ValueError, match=message):
         SCALAR_OPS[name](ex.builtin(1), n)
+    if n == 3.0:  # a table stored for n = 3 is no hit for n = 3.0
+        SCALAR_OPS[name](ex.builtin(1), 3)
+        with pytest.raises(ValueError, match=message):
+            SCALAR_OPS[name](ex.builtin(1), n)
 
 
-@pytest.mark.parametrize("n", [0, -1])
-def test_degree_below_one_raises_in_node_table_and_axis_check(n):
-    with pytest.raises(ValueError, match="n must be >= 1"):
+@pytest.mark.parametrize("n, message", BAD_DEGREES, ids=[str(n) for n, _ in BAD_DEGREES])
+def test_degree_below_one_raises_in_node_table_and_axis_check(n, message):
+    with pytest.raises(ValueError, match=message):
         disk.quadrant_node_table(ex.builtin(1), n, Quadrant.B2)
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match=message):
         disk.axis_continuity_check("stancu", ex.builtin(1), n)
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match=message):
         NodeSchedule.constant(3).counts(n)
+    with pytest.raises(ValueError, match=message):
+        disk.piecewise_stancu_disk(ex.builtin(1), n, 0.3, 0.4)
 
 
 # ---------------------------------------------------------------------------
