@@ -112,20 +112,12 @@ class NodeSchedule:
 
     def counts(self, n: int) -> np.ndarray:
         n = _degree(n)
-        k = np.arange(n + 1)
         if self.kind == "constant":
-            raw = np.full(n + 1, self.m)
-        elif self.kind == "n-minus-k":
-            raw = n - k
-        else:
-            raw = k.copy()
-        if np.any(raw < 1):
-            warnings.warn(
-                f"schedule {self.kind!r} yields n_k=0 at some k; substituting n_k=1",
-                stacklevel=2,
-            )
-            raw = np.maximum(raw, 1)
-        return raw
+            return np.full(n + 1, self.m)
+        warnings.warn(f"schedule {self.kind!r} yields n_k=0 at some k; substituting n_k=1",
+                      stacklevel=2)  # at k = n (n - k) or k = 0 (k)
+        k = np.arange(n + 1)
+        return np.maximum(n - k if self.kind == "n-minus-k" else k, 1)
 
 
 @dataclass(frozen=True)
@@ -264,14 +256,6 @@ def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> n
     return table
 
 
-def _sample_rows(f: Callable[[float, float], float], counts: np.ndarray, nodes: Callable,
-                 key: tuple[Hashable, ...]) -> np.ndarray:
-    """_node_values(f, counts, nodes), every row, read through _node_table
-    under (f, *key); key names the operator's node set.
-    """
-    return _node_table((f, *key), lambda: _node_values(f, counts, nodes))
-
-
 def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarray) -> float:
     """sum_k outer[k] * (basis_row(counts[k], t) @ table[k, :counts[k] + 1]),
     added in order of k over the rows with nonzero outer weight. One
@@ -288,6 +272,18 @@ def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarr
     return total
 
 
+def _scalar_values(f: Callable[[float, float], float], key: tuple, counts: np.ndarray,
+                   nodes: Callable, s: Sequence[float], t: Sequence[float]) -> list[float]:
+    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at each (s, t) of s and t,
+    n = len(counts) - 1: the one evaluator of the scalar operators. F is
+    the node table _node_values(f, counts, nodes) read through _node_table
+    under (f, *key). The outer rows come first, so an s outside [0, 1]
+    raises before f is called."""
+    outer = [basis_row(len(counts) - 1, v) for v in s]
+    table = _node_table((f, *key), lambda: _node_values(f, counts, nodes))
+    return [_nested_sum(row, v, counts, table) for row, v in zip(outer, t)]
+
+
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The node abscissae x_k = a + (b - a) k / n, and the width phi2 - phi1
     and low end phi1 of the node row at each, from one phi1 and one phi2
@@ -296,6 +292,15 @@ def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, n
     curves = [(dom.phi1(v), dom.phi2(v)) for v in xk.tolist()]
     width, low = np.array([(hi - lo, lo) for lo, hi in curves]).T  # hi - lo as in dom.width
     return xk, width, low
+
+
+def _row_nodes(dom: CurvilinearDomain, n: int) -> Callable:
+    """The node map (k, j, n_k) -> (x_k, phi1(x_k) + (phi2 - phi1)(x_k) j / n_k)
+    of stancu at degree n; each call calls _node_map(dom, n)."""
+    def nodes(k, j, nk):
+        xk, width, low = _node_map(dom, n)
+        return xk[k], width[k] * j / nk + low[k]
+    return nodes
 
 
 def stancu(
@@ -310,22 +315,17 @@ def stancu(
     counts = sched.counts(n)
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
-    outer = basis_row(n, dom.x_interval.to_unit(x))
-
-    def nodes(k, j, nk):
-        xk, width, low = _node_map(dom, n)
-        return xk[k], width[k] * j / nk + low[k]
-
-    table = _sample_rows(f, counts, nodes, ("stancu", n, sched, dom))
-    return _nested_sum(outer, _inner_t(dom, x, y), counts, table)
+    return _scalar_values(f, ("stancu", n, sched, dom), counts, _row_nodes(dom, n),
+                          [dom.x_interval.to_unit(x)], [_inner_t(dom, x, y)])[0]
 
 
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:
     """Node mesh (x_k, y_{k,j}) of the operator; y rows span [phi1, phi2]."""
     counts = sched.counts(n)
-    xk, width, low = _node_map(dom, n)
-    rows = (width[k] * np.arange(nk + 1) / nk + low[k] for k, nk in enumerate(counts.tolist()))
-    return StancuNodes(n, sched, xk, tuple(rows))
+    j = np.arange(counts.max() + 1)
+    x, y = _row_nodes(dom, n)(np.arange(n + 1)[:, None], j, counts[:, None])
+    # row k keeps the j of np.arange(n_k + 1)
+    return StancuNodes(n, sched, x.ravel(), tuple(r[j < nk + 1] for r, nk in zip(y, counts)))
 
 
 def stancu_determinant(

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bivariate import NodeSchedule, _nested_sum, _node_table, _node_values, _sample_rows
+from .bivariate import NodeSchedule, _node_values, _scalar_values
 from .univariate import _EPS, Interval, _degree, basis_row, check_f_values
 
 __all__ = [
@@ -61,6 +61,15 @@ class Quadrant(enum.Enum):
         return self.sx * x >= -tol and self.sy * y >= -tol
 
 
+_QUADRANTS = tuple(Quadrant)
+
+
+def _quadrant_index(x, y):
+    """Index in _QUADRANTS of the first of B1 > B2 > B3 > B4 that holds (x, y),
+    a 0 of either sign on both sides of its axis; x and y are floats or arrays."""
+    return (y < 0) * (2 + (x > 0)) + (y >= 0) * (x < 0)
+
+
 def check_disk_point(x: float, y: float, tol: float = _SLACK):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point ({x}, {y}) is not finite")
@@ -78,12 +87,9 @@ def square_bernstein(
     """Tensor Bernstein operator on [-1, 1]^2 via the affine lift."""
     if not (-1.0 - _EPS <= x <= 1.0 + _EPS and -1.0 - _EPS <= y <= 1.0 + _EPS):
         raise ValueError(f"point ({x}, {y}) outside [-1, 1]^2")
-    counts = sched.counts(n)
-    px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
-    ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
-    table = _sample_rows(f, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk),
-                         ("square", n, sched))
-    return _nested_sum(px, ty, counts, table)
+    s, t = ((min(max(v, -1.0), 1.0) + 1.0) / 2.0 for v in (x, y))
+    return _scalar_values(f, ("square", n, sched), sched.counts(n),
+                          lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk), [s], [t])[0]
 
 
 def simplex_bernstein(
@@ -102,14 +108,11 @@ def simplex_bernstein(
         raise ValueError(f"point ({x}, {y}) is not finite")
     if x < -_EPS or y < -_EPS or x + y > 1.0 + _SLACK:
         raise ValueError(f"point ({x}, {y}) outside the simplex")
-    x = max(x, 0.0)
-    y = max(y, 0.0)
-    counts = sched.counts(n)
-    px = basis_row(n, min(x, 1.0))
+    x, y = max(x, 0.0), max(y, 0.0)
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
-    table = _sample_rows(f, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
-                         ("simplex", n, sched))
-    return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
+    return _scalar_values(f, ("simplex", n, sched), sched.counts(n),
+                          lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
+                          [min(x, 1.0)], [min(max(t, 0.0), 1.0)])[0]
 
 
 def ball_stancu(
@@ -124,12 +127,10 @@ def ball_stancu(
     At x = +-1 the chord collapses; the value is the limit f(+-1, 0).
     """
     check_disk_point(x, y)
-    counts = sched.counts(n)
-    px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    table = _sample_rows(f, counts, _chord_nodes(n), ("ball", n, sched))
-    return _nested_sum(px, min(max(t, 0.0), 1.0), counts, table)
+    return _scalar_values(f, ("ball", n, sched), sched.counts(n), _chord_nodes(n),
+                          [(min(max(x, -1.0), 1.0) + 1.0) / 2.0], [min(max(t, 0.0), 1.0)])[0]
 
 
 def _chord_nodes(n: int) -> Callable:
@@ -148,8 +149,15 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     j <= n - k; returned as a lower-triangular (n+1, n+1) table.
     """
     n = _degree(n)
-    roots = _node_roots(n)
-    return _node_values(f, n - np.arange(n + 1), lambda k, j, _: (q.sx * roots[k], q.sy * roots[j]))
+    return _node_values(f, n - np.arange(n + 1), _quadrant_nodes(n, q))
+
+
+def _quadrant_nodes(n: int, q: Quadrant) -> Callable:
+    """The node map (k, j, n_k) -> (sx sqrt(k/n), sy sqrt(j/n)) of q at degree n."""
+    def nodes(k, j, _):
+        roots = _node_roots(n)
+        return q.sx * roots[k], q.sy * roots[j]
+    return nodes
 
 
 def _quadrant_node_index(pts: np.ndarray, n: int) -> tuple[np.ndarray, ...] | None:
@@ -158,30 +166,38 @@ def _quadrant_node_index(pts: np.ndarray, n: int) -> tuple[np.ndarray, ...] | No
     quadrant_node_table at degree n, else None. The quadrant is that of the
     sign bits: a +0.0 on an axis is read from a quadrant whose sign there is +."""
     x, y = pts.T
-    k, j = np.rint(n * np.clip(pts.T, -2.0, 2.0) ** 2)  # clipped: no overflow, and still no node
-    if not np.all(k + j <= n):  # also false for a NaN or inf coordinate
+    k = _node_coordinate(x, n)
+    j = None if k is None else _node_coordinate(y, n)
+    if j is None or not np.all(k + j <= n):
         return None
-    roots, k, j = _node_roots(n), k.astype(np.int32), j.astype(np.int32)
-    if np.all(np.copysign(roots[k], x) == x) and np.all(np.copysign(roots[j], y) == y):
-        return np.signbit(x) ^ np.signbit(y) * np.int8(3), k, j  # B1, B2, B3, B4 = 0, 1, 2, 3
-    return None
+    return np.signbit(x) ^ np.signbit(y) * np.int8(3), k, j  # B1, B2, B3, B4 = 0, 1, 2, 3
 
 
-def _memo_quadrant_table(f: Callable[[float, float], float], n: int, q: Quadrant) -> np.ndarray:
-    """quadrant_node_table(f, n, q), read through the scalar node-table memo.
-    n is checked before the lookup, so n = 3.0 raises rather than read the
-    table stored under the equal key of n = 3."""
+def _node_coordinate(c: np.ndarray, n: int) -> np.ndarray | None:
+    """m = rint(n c^2) as int32 when each value of c has the bits of
+    +-_node_roots(n)[m], m <= n, else None; built in one float array."""
+    m = np.clip(c, -2.0, 2.0)  # clipped: no overflow, and still no node
+    m *= m
+    m *= n
+    np.rint(m, out=m)
+    if not np.all(m <= n):  # also false for a NaN or inf value
+        return None
+    index = m.astype(np.int32)
+    m /= n
+    np.sqrt(m, out=m)  # _node_roots(n)[index], with its bits
+    return index if np.array_equal(np.copysign(m, c, out=m), c) else None
+
+
+def _quadrant_values(f: Callable[[float, float], float], q: Quadrant, n: int,
+                     points: list[tuple[float, float]]) -> list[float]:
+    """The quadrant closed form of f in q at each (x, y) of points: the nested
+    sum at (u, t) = (x^2, y^2/(1 - x^2)) with the n-minus-k schedule. n is
+    checked before the lookup, so n = 3.0 cannot read the table of n = 3."""
     n = _degree(n)
-    return _node_table((f, "quadrant", n, q), lambda: quadrant_node_table(f, n, q))
-
-
-def _closed_form_value(table: np.ndarray, n: int, x: float, y: float) -> float:
-    """Degree-2n quadrant polynomial: sum of multinomial(x^2, y^2) terms
-    weighted by the node table, computed via nested binomial rows.
-    """
-    u = min(x * x, 1.0)
-    t = (y * y) / (1.0 - u) if 1.0 - u > _EPS else 0.0
-    return _nested_sum(basis_row(n, u), min(max(t, 0.0), 1.0), n - np.arange(n + 1), table)
+    u = [min(x * x, 1.0) for x, _ in points]
+    t = [min(max(y * y / (1.0 - v), 0.0), 1.0) if 1.0 - v > _EPS else 0.0
+         for v, (_, y) in zip(u, points)]
+    return _scalar_values(f, ("quadrant", n, q), n - np.arange(n + 1), _quadrant_nodes(n, q), u, t)
 
 
 def quadrant_stancu(
@@ -193,7 +209,7 @@ def quadrant_stancu(
     check_disk_point(x, y)
     if not q.contains(x, y):
         raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
-    return _closed_form_value(_memo_quadrant_table(f, n, q), n, x, y)
+    return _quadrant_values(f, q, n, [(x, y)])[0]
 
 
 # The quadrant operator built from per-quadrant monotone transforms of the
@@ -260,19 +276,12 @@ def quadrant_bernstein_type_via_transforms(
     return total
 
 
-def _dispatch_quadrant(x: float, y: float) -> Quadrant:
-    for q in Quadrant:  # in definition order, B1 first
-        if q.sx * x >= 0.0 and q.sy * y >= 0.0:
-            return q
-    raise AssertionError("unreachable")
-
-
 def piecewise_stancu_disk(f: Callable[[float, float], float], n: int, x: float, y: float) -> float:
     """Quadrant-wise operator on the whole disk; axis values agree between
     adjacent quadrants, ties broken toward B1 > B2 > B3 > B4.
     """
     check_disk_point(x, y)
-    return _closed_form_value(_memo_quadrant_table(f, n, _dispatch_quadrant(x, y)), n, x, y)
+    return _quadrant_values(f, _QUADRANTS[_quadrant_index(x, y)], n, [(x, y)])[0]
 
 
 piecewise_bernstein_type_disk = piecewise_stancu_disk
@@ -301,16 +310,13 @@ def axis_continuity_check(
         raise ValueError("samples must be >= 1")
     if which not in ("stancu", "bernstein-type"):
         raise KeyError(which)
-    # Both constructions evaluate the same closed form, so each quadrant's
-    # node table is built once and shared by every axis point.
-    tables = {q: _memo_quadrant_table(f, n, q) for q in Quadrant}
+    # Both constructions evaluate the same closed form: each quadrant's, in
+    # order, at the points of its half of the x axis, then of the y axis.
+    r = np.linspace(0.0, 1.0, samples + 1).tolist()
+    values = {q: _quadrant_values(f, q, n, [(q.sx * v, 0.0) for v in r] + [(0.0, q.sy * v) for v in r])
+              for q in Quadrant}
     worst = 0.0
-    for r in np.linspace(0.0, 1.0, samples + 1):
-        for axis, (qa, qb) in _ADJACENT.items():
-            if axis.startswith("x"):
-                pt = (math.copysign(r, 1 if axis == "x+" else -1), 0.0)
-            else:
-                pt = (0.0, math.copysign(r, 1 if axis == "y+" else -1))
-            worst = max(worst, abs(_closed_form_value(tables[qa], n, *pt)
-                                   - _closed_form_value(tables[qb], n, *pt)))
+    for axis, (qa, qb) in _ADJACENT.items():
+        half = slice(None, len(r)) if axis.startswith("x") else slice(len(r), None)
+        worst = max([worst] + [abs(a - b) for a, b in zip(values[qa][half], values[qb][half])])
     return worst

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bivariate import _node_values, _sample_points
-from .disk import (_SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_node_index,
-                   quadrant_node_table)
+from .disk import (_QUADRANTS, _SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_index,
+                   _quadrant_node_index, quadrant_node_table)
 from .univariate import _EPS, _degree, _degree_rows, basis_rows
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_N_LIST = (10, 20, 30, 40, 50, 60, 70, 80)
-
-_QUADRANTS = tuple(Quadrant)
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +334,14 @@ def _chord_disk_batch(f: Callable[[float, float], float], n: int,
 def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapsed coordinates u = x^2, t = y^2/(1-x^2) of the quadrant
     operator (t = 0 where 1 - x^2 <= _EPS), and each point's quadrant as an
-    index into _QUADRANTS, ties toward B1 > B2 > B3 > B4 as in the scalar
-    dispatch."""
+    index into _QUADRANTS by _quadrant_index, as the scalar operators take it."""
     x = pts[:, 0]
     y = pts[:, 1]
     u = np.clip(x * x, 0.0, 1.0)
     rest = 1.0 - u
     t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
-    quad = np.full(len(pts), 3)
-    quad[(x <= 0) & (y < 0)] = 2
-    quad[(x < 0) & (y >= 0)] = 1
-    quad[(x >= 0) & (y >= 0)] = 0
-    return u, t, quad
+    return u, t, _quadrant_index(x, y)
 
 
 def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.ndarray | None]],

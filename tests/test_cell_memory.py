@@ -342,6 +342,54 @@ def test_node_index_takes_only_the_bits_of_a_node():
     assert disk._quadrant_node_index(pts, n - 1) is None
 
 
+def node_index_whole_array(pts, n):
+    """_quadrant_node_index as it was: both coordinates rounded at once, then
+    checked against a gather of the roots."""
+    x, y = pts.T
+    k, j = np.rint(n * np.clip(pts.T, -2.0, 2.0) ** 2)
+    if not np.all(k + j <= n):
+        return None
+    roots, k, j = np.sqrt(np.arange(n + 1) / n), k.astype(np.int32), j.astype(np.int32)
+    if np.all(np.copysign(roots[k], x) == x) and np.all(np.copysign(roots[j], y) == y):
+        return np.signbit(x) ^ np.signbit(y) * np.int8(3), k, j
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_node_index_decides_as_the_whole_array_rule(n):
+    rng = np.random.default_rng(n)
+    mesh = ex.mesh_quadrant_disk(n).points
+    sets = [mesh, ex.mesh_quadrant_disk(n, dedup=False).points, -mesh, mesh[::-1, ::-1]]
+    for change in (lambda v: np.nextafter(v, 2.0), lambda v: np.nextafter(v, -2.0),
+                   lambda v: math.nan, lambda v: -math.inf, lambda v: 1e300, lambda v: -v):
+        for c in (0, 1):
+            pts = mesh[rng.integers(0, len(mesh), 40)]
+            pts[rng.integers(0, 40), c] = change(pts[0, c])
+            sets.append(pts)
+    for pts in sets:
+        for degree in (n, 2 * n, n + 1):
+            got, expected = disk._quadrant_node_index(pts, degree), node_index_whole_array(pts, degree)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                for a, b in zip(got, expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_node_index_holds_under_20_bytes_a_point():
+    n = 120
+    pts = ex.mesh_quadrant_disk(n).points
+    for bad in (None, np.nextafter(pts[9], 2.0)):  # every point a node; the last one off them
+        pts = pts if bad is None else np.vstack((pts, [bad]))
+        tracemalloc.start()
+        try:
+            found = disk._quadrant_node_index(pts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (found is None) == (bad is not None)
+        assert peak <= 20 * len(pts)
+
+
 @pytest.mark.parametrize("example", [1, 2, 3, 4])
 def test_reference_report_matches_rmse(example):
     f = ex.builtin(example)

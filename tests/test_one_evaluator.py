@@ -1,0 +1,63 @@
+"""One scalar evaluator: in src/diskbern only bivariate._scalar_values uses
+the nested sum (bivariate._nested_sum) and the node-table memo
+(bivariate._node_table), so every scalar operator is its (x, y) -> (s, t)
+map plus one call of it. A scalar operator that sums or reads the memo on
+its own fails here; call _scalar_values instead.
+"""
+
+import ast
+from pathlib import Path
+
+import diskbern
+
+SRC = Path(diskbern.__file__).parent
+
+GUARDED = {"_nested_sum", "_node_table"}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def users(src=SRC):
+    """module.qualname of each function that names a guarded function (a call,
+    or a reference passed on), mapped to the names it uses; a lambda counts
+    as the function it is in."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}.{child.name}")
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)) and _name(child) in GUARDED:
+                found.setdefault(prefix, set()).add(_name(child))
+            visit(child, prefix)
+
+    for path in sorted(Path(src).glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def test_only_the_evaluator_sums_and_reads_the_memo():
+    assert users() == {"bivariate._scalar_values": GUARDED}
+
+
+def test_a_bypass_is_found(tmp_path):
+    (tmp_path / "extra.py").write_text(
+        "from .bivariate import _nested_sum\n\n"
+        "def summed(outer, t, counts, table):\n"
+        "    return _nested_sum(outer, t, counts, table)\n\n"
+        "def memo(f, n):\n"
+        "    return biv._node_table((f, n), lambda: None)\n\n"
+        "def passed_on(rows):\n"
+        "    return list(map(_nested_sum, rows))\n\n"
+        "def nested(f):\n"
+        "    def inner():\n"
+        "        return _node_table(f, f)\n"
+        "    return inner\n\n"
+        "def _nested_sum_free(x):\n"
+        "    return x\n")
+    assert users(tmp_path) == {"extra.summed": {"_nested_sum"}, "extra.memo": {"_node_table"},
+                               "extra.passed_on": {"_nested_sum"},
+                               "extra.nested.inner": {"_node_table"}}

@@ -138,8 +138,8 @@ def test_chord_node_table_matches_loop(n):
 
 
 def test_scalar_node_table_matches_loop():
-    """_sample_rows: f at the nodes of every row, call for call, and a
-    repeated key makes no call."""
+    """_scalar_values: f at the nodes of every row, call for call, kept in
+    the memo under (f, *key), and a repeated key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
     loop_calls, expected = [], np.zeros((n + 1, 10))
@@ -151,7 +151,8 @@ def test_scalar_node_table_matches_loop():
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # simplex_bernstein's
     for _ in range(2):
-        table = biv._sample_rows(g, counts, nodes, ("test", n))
+        biv._scalar_values(g, ("test", n), counts, nodes, [0.3], [0.4])
+        table = biv._node_tables[g, "test", n]
         assert table.tobytes() == expected.tobytes()
         same_calls(calls, loop_calls)
 
@@ -247,7 +248,7 @@ def test_ball_stancu_builds_one_inner_row_per_degree(monkeypatch):
         return triangle(ms, t)
 
     triangle = biv._row_triangle
-    monkeypatch.setattr(disk, "basis_row", counting_row)
+    monkeypatch.setattr(biv, "basis_row", counting_row)
     monkeypatch.setattr(biv, "_row_triangle", counting_triangle)
     ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(20), 0.3, 0.4)
     assert degrees == [20]  # the outer row

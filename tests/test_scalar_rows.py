@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,7 +252,7 @@ def test_simplex_duffy_bit_equal_to_loop(n, few):
 def test_piecewise_stancu_disk_bit_equal_to_loop(n, few):
     for e, (x, y) in zip([1, 2, 3, 4] * 9, few or disk_points()):
         f = ex.builtin(e)
-        q = disk._dispatch_quadrant(x, y)
+        q = disk._QUADRANTS[disk._quadrant_index(x, y)]
 
         def loop(g, n, x, y):
             return loop_closed_form(disk.quadrant_node_table(g, n, q), n, x, y)
@@ -296,12 +297,12 @@ def parent_stancu(f, dom, n, sched, x, y):
     counts = sched.counts(n)
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
-    outer = basis_row(n, dom.x_interval.to_unit(x))
+    s = dom.x_interval.to_unit(x)
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
     width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
-    table = biv._sample_rows(f, counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
-                             ("parent_stancu", n, sched, dom))
-    return biv._nested_sum(outer, biv._inner_t(dom, x, y), counts, table)
+    return biv._scalar_values(f, ("parent_stancu", n, sched, dom), counts,
+                              lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
+                              [s], [biv._inner_t(dom, x, y)])[0]
 
 
 def parent_stancu_nodes(dom, n, sched):
@@ -616,7 +617,7 @@ def test_pointwise_scalar_ops_sample_each_node_table_once():
         disk.piecewise_stancu_disk(f, n, x, y)
         disk.ball_stancu(f, n, const, x, y)
         biv.stancu(f, wl.DISK_DOMAIN, n, n_minus_k, x, y)
-        quadrant_tables.add((e, disk._dispatch_quadrant(x, y)))
+        quadrant_tables.add((e, disk._quadrant_index(x, y)))
         examples.add(e)
     # 861, 1681 and 862 nodes at n = 40; the n-minus-k row k = n has n_k = 1
     quadrant_nodes = (n + 1) * (n + 2) // 2
@@ -625,3 +626,83 @@ def test_pointwise_scalar_ops_sample_each_node_table_once():
                 + len(examples) * (const_nodes + n_minus_k_nodes))
     assert sum(len(calls) for _, calls in counted.values()) == expected
     assert (quadrant_nodes, const_nodes, n_minus_k_nodes) == (861, 1681, 862)
+
+
+# ---------------------------------------------------------------------------
+# the quadrant tie rule
+
+def first_quadrant(x, y):
+    """The scalar dispatch as it was: the first quadrant, in order, whose signs admit (x, y)."""
+    return next(i for i, q in enumerate(Quadrant) if q.sx * x >= 0.0 and q.sy * y >= 0.0)
+
+
+def masked_quadrants(x, y):
+    """The batch rule as it was: three masks over a default of B4."""
+    quad = np.full(len(x), 3)
+    quad[(x <= 0) & (y < 0)] = 2
+    quad[(x < 0) & (y >= 0)] = 1
+    quad[(x >= 0) & (y >= 0)] = 0
+    return quad
+
+
+def test_one_quadrant_tie_rule_for_floats_and_arrays_with_signed_zeros():
+    coords = [1.0, -1.0, 0.5, -0.5, 0.0, -0.0]
+    pts = [(x, y) for x in coords for y in coords]
+    expected = [first_quadrant(x, y) for x, y in pts]
+    assert [disk._quadrant_index(x, y) for x, y in pts] == expected
+    x, y = np.array(pts).T
+    assert masked_quadrants(x, y).tolist() == expected
+    assert ex._quadrant_coordinates(np.array(pts))[2].tolist() == expected
+    f = ex.builtin(2)
+    for (x, y), i in zip(pts, expected):
+        if x * x + y * y <= 1.0:
+            value = disk.piecewise_stancu_disk(f, 5, x, y)
+            assert bits(value) == bits(disk.quadrant_stancu(f, disk._QUADRANTS[i], 5, x, y))
+
+
+# ---------------------------------------------------------------------------
+# the evaluator against 40-digit sums of its own node table
+
+def mp_nested_sum(s, t, counts, table):
+    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) table[k, j] at 40 digits, with s, t
+    and the table entries taken as exact binary values."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        s, t = mp.mpf(s), mp.mpf(t)
+        n = len(counts) - 1
+        total = mp.mpf(0)
+        for k in range(n + 1):
+            m = int(counts[k])
+            inner = mp.fsum(mp.binomial(m, j) * t**j * (1 - t) ** (m - j) * mp.mpf(float(table[k, j]))
+                            for j in range(m + 1))
+            total += mp.binomial(n, k) * s**k * (1 - s) ** (n - k) * inner
+        return total
+
+
+ORACLE_POINTS = [(0.0, 0.0), (0.5, 0.0), (-0.7, -0.0), (0.0, 0.6), (-0.0, -0.3), (1.0, 0.0),
+                 (-1.0, 0.0), (0.0, -1.0), (0.999 * math.cos(0.3), 0.999 * math.sin(0.3)),
+                 (0.9999 * math.cos(2.5), 0.9999 * math.sin(2.5)),
+                 (0.995 * math.cos(4.2), 0.995 * math.sin(4.2)), (0.31, -0.62)]
+ORACLE_FORMS = {
+    "quadrant": lambda f, n, x, y: disk.piecewise_stancu_disk(f, n, x, y),
+    "chord": lambda f, n, x, y: disk.ball_stancu(f, n, NodeSchedule.constant(n), x, y),
+}
+
+
+@pytest.mark.parametrize("n", [5, 20, 40])
+@pytest.mark.parametrize("form", list(ORACLE_FORMS))
+def test_scalar_values_within_1e_13_of_a_40_digit_sum(form, n, monkeypatch):
+    """Each value against the exact sum of the float node table it was taken
+    from, at the (s, t) its operator passed to the evaluator."""
+    seen = []
+
+    def spy(f, key, counts, nodes, s, t):
+        seen.append((counts, s, t, biv._node_values(f, counts, nodes)))
+        return evaluator(f, key, counts, nodes, s, t)
+
+    evaluator = biv._scalar_values
+    monkeypatch.setattr(disk, "_scalar_values", spy)
+    for e, (x, y) in zip([1, 2, 3, 4] * 3, ORACLE_POINTS):
+        value = ORACLE_FORMS[form](ex.builtin(e), n, x, y)
+        counts, (s,), (t,), table = seen.pop()
+        assert abs(value - mp_nested_sum(s, t, counts, table)) <= 1e-13
