@@ -19,6 +19,7 @@ from .univariate import (
     validate_transform,
 )
 from .bivariate import (
+    vectorized,
     CurvilinearDomain,
     NodeSchedule,
     UNIT_SQUARE,

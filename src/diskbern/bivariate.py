@@ -7,6 +7,8 @@ x-dependent node count) inside one in x.
 
 from __future__ import annotations
 
+import functools
+import operator
 import threading
 import warnings
 from collections import OrderedDict
@@ -19,6 +21,7 @@ from .univariate import (_EPS, Interval, _degree, _row_triangle, basis_row, bern
                          bernstein_shifted, check_f_values)
 
 __all__ = [
+    "vectorized",
     "CurvilinearDomain",
     "NodeSchedule",
     "StancuNodes",
@@ -93,8 +96,13 @@ class NodeSchedule:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "constant":
-            if self.m is None or self.m < 1:
-                raise ValueError("constant schedule needs a positive m")
+            try:
+                m = operator.index(self.m)
+            except TypeError:
+                m = 0
+            if m < 1:
+                raise ValueError(f"constant schedule needs an integer m >= 1, got {self.m!r}")
+            object.__setattr__(self, "m", m)
         elif self.m is not None:
             raise ValueError("m is only meaningful for the constant schedule")
 
@@ -169,25 +177,62 @@ def _inner_t(dom: CurvilinearDomain, x: float, y: float) -> float:
     return min(max((y - dom.phi1(x)) / w, 0.0), 1.0)
 
 
+class vectorized:
+    """Declares f array-valued: f(x, y) takes two read-only 1-D float64
+    arrays of one shape and returns the float64 array of its values at the
+    points (x[i], y[i]). The samplers then call f once per block of points
+    or nodes instead of once per point. Calling the declaration calls f.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __call__(self, x, y):
+        return self.f(x, y)
+
+
 # Sampling f: every operator reads f through _sample_points (f at given
-# points) or _node_values (f at a table of nodes), the only two functions
-# that call it. Both check its values with check_f_values.
+# points) or _node_values (f at a table of nodes), and both read it through
+# _f_at, the only function that calls it.
 
 _BLOCK = 512  # points per _sample_points block
+_NODE_BLOCK = 8192  # table entries, padding included, per _node_values block
+
+
+def _f_at(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f at each point (x[i], y[i]) of two 1-D float arrays that f may keep.
+    A vectorized f is called once, with both arrays made read-only, and
+    must return a float64 array of their shape; any other f is called once
+    per point, in order, with Python floats. ValueError names the first
+    point where f is NaN or inf, or says what a vectorized f returned
+    instead of its array.
+    """
+    if isinstance(f, vectorized):
+        x.flags.writeable = y.flags.writeable = False
+        values = f(x, y)
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and values.shape == x.shape):
+            got = (f"{values.dtype} array of shape {values.shape}"
+                   if isinstance(values, np.ndarray) else type(values).__name__)
+            raise ValueError(f"vectorized f returned {got}, not a float64 array of shape {x.shape}")
+        check_f_values(values, lambda i: (float(x[i]), float(y[i])))
+        return values
+    xs, ys = x.tolist(), y.tolist()
+    values = np.fromiter(map(f, xs, ys), float, len(xs))
+    check_f_values(values, lambda i: (xs[i], ys[i]))
+    return values
 
 
 def _sample_points(f: Callable[[float, float], float], pts: np.ndarray) -> np.ndarray:
-    """f at every point of pts, an (m, 2) array, called with Python floats in
-    order, _BLOCK points at a time (one list of the whole array would hold a
-    Python float per coordinate). A NaN or inf value raises ValueError
-    naming the point.
+    """f at every point of pts, an (m, 2) array, in order, _BLOCK points at
+    a time (one list of the whole array would hold a Python float per
+    coordinate), through _f_at.
     """
     out = np.empty(len(pts))
     for a in range(0, len(pts), _BLOCK):
-        xs, ys = pts[a:a + _BLOCK].T.tolist()
-        block = out[a:a + _BLOCK]
-        block[:] = list(map(f, xs, ys))
-        check_f_values(block, lambda i: (xs[i], ys[i]))
+        out[a:a + _BLOCK] = _f_at(f, *pts[a:a + _BLOCK].T.copy())
     return out
 
 
@@ -195,20 +240,21 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
                  nodes: Callable) -> np.ndarray:
     """f at the nodes (k, j), j <= counts[k], as a table that is zero
     elsewhere. nodes(k, j, n_k), given k and n_k as columns and j as a row,
-    returns the node coordinates (x, y), x constant along a row. f gets
-    Python floats, one x per row, in order of k, then j, once per node. A
-    NaN or inf value raises ValueError naming the first such node in that
-    order.
+    returns the node coordinates (x, y) broadcastable to one row per k.
+    f is read through _f_at at the nodes alone, never at the padding, in
+    order of k, then j, in blocks of whole rows of at most _NODE_BLOCK
+    table entries, so no temporary grows with the table.
     """
-    k, j, nk = np.arange(counts.size)[:, None], np.arange(counts.max() + 1), counts[:, None]
-    x, y = nodes(k, j, nk)
-    x = np.broadcast_to(x, (k.size, 1)).ravel().tolist()
-    y = np.broadcast_to(y, (k.size, j.size))
-    table = np.zeros(y.shape)
-    for r, m in enumerate((counts + 1).tolist()):
-        xr = x[r]
-        table[r, :m] = [f(xr, v) for v in y[r, :m].tolist()]
-    check_f_values(table, lambda i: (x[i // j.size], float(y[i // j.size, i % j.size])))
+    table = np.zeros((counts.size, counts.max() + 1))
+    j = np.arange(table.shape[1])
+    rows = max(1, _NODE_BLOCK // j.size)
+    for a in range(0, counts.size, rows):
+        block = table[a:a + rows]
+        nk = counts[a:a + rows, None]
+        live = j <= nk
+        x, y = (np.broadcast_to(c, live.shape)[live]
+                for c in nodes(np.arange(a, a + len(block))[:, None], j, nk))
+        block[live] = _f_at(f, x, y)
     return table
 
 
@@ -296,9 +342,12 @@ def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, n
 
 def _row_nodes(dom: CurvilinearDomain, n: int) -> Callable:
     """The node map (k, j, n_k) -> (x_k, phi1(x_k) + (phi2 - phi1)(x_k) j / n_k)
-    of stancu at degree n; each call calls _node_map(dom, n)."""
+    of stancu at degree n; its first call calls _node_map(dom, n), which
+    later calls reuse."""
+    node_map = functools.cache(lambda: _node_map(dom, n))
+
     def nodes(k, j, nk):
-        xk, width, low = _node_map(dom, n)
+        xk, width, low = node_map()
         return xk[k], width[k] * j / nk + low[k]
     return nodes
 
@@ -311,10 +360,13 @@ def stancu(
     x: float,
     y: float,
 ) -> float:
-    """Bivariate Bernstein-Stancu operator of f evaluated at (x, y)."""
+    """Bivariate Bernstein-Stancu operator of f evaluated at (x, y); an x
+    that dom.contains accepts within its tolerance outside [a, b] is
+    evaluated at the nearer end, as ball_stancu does."""
     counts = sched.counts(n)
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
+    x = min(max(x, dom.a), dom.b)
     return _scalar_values(f, ("stancu", n, sched, dom), counts, _row_nodes(dom, n),
                           [dom.x_interval.to_unit(x)], [_inner_t(dom, x, y)])[0]
 

@@ -14,7 +14,10 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import experiments as ex
+from .bivariate import vectorized
 
 __all__ = ["main", "entry"]
 
@@ -67,7 +70,7 @@ def _floats(name: str, form: str):
 def _resolve_function(spec: str):
     if spec.startswith("const:"):
         value = float(spec.split(":", 1)[1])
-        return spec, lambda x, y: value
+        return spec, vectorized(lambda x, y: np.full_like(x, value))
     if spec in ex.BUILTINS:
         return spec, ex.BUILTINS[spec]
     raise ValueError(f"unknown function {spec!r}; use example1..example4 or const:<v>")

@@ -1,6 +1,6 @@
 """One owner calls f: no function in src/diskbern calls its f parameter
-except the owner's two parts, bivariate._sample_points (f at points) and
-bivariate._node_values (f at a table of nodes), the independent
+except the owner, bivariate._f_at, through which _sample_points (f at
+points) and _node_values (f at a table of nodes) read f, the independent
 constructions kept as oracles, and the univariate layer, whose f is 1-D.
 A new loop over f fails here; route it through the owner instead.
 """
@@ -13,8 +13,7 @@ import diskbern
 SRC = Path(diskbern.__file__).parent
 
 ALLOWED = {
-    "bivariate._sample_points": "the owner: f at points",
-    "bivariate._node_values": "the owner: f at a table of nodes",
+    "bivariate._f_at": "the owner: f at the points of _sample_points and the nodes of _node_values",
     "disk.quadrant_bernstein_type_via_transforms": "the transform path, the closed form's oracle",
     "univariate.bernstein_shifted": "the univariate operator samples its 1-D f at its nodes",
     "univariate.c_tau_shifted": "hands f composed with tau^-1 to bernstein_shifted",
