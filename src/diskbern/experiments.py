@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _blas
 from .bivariate import _node_values, _sample_points, vectorized
 from .disk import (_QUADRANTS, _SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_index,
                    _quadrant_node_index, quadrant_node_table)
@@ -45,10 +46,10 @@ DEFAULT_N_LIST = (10, 20, 30, 40, 50, 60, 70, 80)
 # Built-in test functions on the unit disk
 
 
-# Examples 1, 2 and 4 are vectorized: their numpy forms give the bits of
-# the math forms, since np.sin and math.sin agree on numpy 2.4.6
-# (tests/test_array_f.py pins it). Example 3 stays scalar: np.exp and
-# math.exp differ by 1 ulp on about 5% of arguments.
+# Every example is vectorized, and its numpy form gives the bits of its
+# math form (tests/test_array_f.py pins it): np.sin and math.sin agree on
+# numpy 2.4.6, but np.exp and math.exp differ by 1 ulp on about 5% of
+# arguments, so example 3 takes math.exp of each element.
 
 
 @vectorized
@@ -61,8 +62,12 @@ def _example2(x, y):
     return np.sin(10 * x + y)
 
 
+@vectorized
 def _example3(x, y):
-    return math.exp(x * x - y * y) - x * y
+    if not isinstance(x, np.ndarray):  # a call with two numbers: the math form
+        return math.exp(x * x - y * y) - x * y
+    a = x * x - y * y
+    return np.fromiter(map(math.exp, a.tolist()), float, a.size) - x * y
 
 
 @vectorized
@@ -277,7 +282,9 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
     shape whose last axis is the points. With threads = T > 1 the calling
     thread and T - 1 pool workers take groups from one shared iterator;
     each group's values go straight to its own points, so the output is
-    the same for every T."""
+    the same for every T. OpenBLAS runs one thread throughout, so T alone
+    sets the parallelism, and every product has the bits of the serial
+    BLAS kernels whatever the host's BLAS thread count."""
     out = np.empty(shape)
     todo = iter(groups)
     lock = threading.Lock()
@@ -291,14 +298,15 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
             out[..., g.points] = evaluate(g)
 
     threads = min(threads or 1, len(groups))
-    if threads <= 1:
-        work()
-    else:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            helpers = [pool.submit(work) for _ in range(threads - 1)]
+    with _blas.one_thread():
+        if threads <= 1:
             work()
-            for h in helpers:
-                h.result()
+        else:
+            with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+                helpers = [pool.submit(work) for _ in range(threads - 1)]
+                work()
+                for h in helpers:
+                    h.result()
     return out
 
 
@@ -477,11 +485,40 @@ class RmseReport:
     mesh_sizes: tuple[tuple[int, int], ...]
 
 
+# Values per _exact_sum block: each half-mantissa bucket sum stays below
+# 2^16 * 2^27 = 2^43, an integer float64 adds exactly.
+_SUM_BLOCK = 1 << 16
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values) for a 1-D array of non-negative floats: the exact
+    sum, rounded once. Each value is m 2^(e-53) with m = frexp's mantissa
+    times 2^53, an integer below 2^53; m's two halves below 2^27 are summed
+    per exponent e with np.bincount, exactly, and the buckets of every
+    block are joined into one Python int, whose division by 2^1126 rounds
+    correctly. A non-finite value leaves the sum to math.fsum (inf), and a
+    sum beyond the float range raises OverflowError, as math.fsum does."""
+    total = 0
+    for a in range(0, values.size, _SUM_BLOCK):
+        block = values[a:a + _SUM_BLOCK]
+        if not np.isfinite(block).all():
+            return math.fsum(values)
+        m, e = np.frexp(block)
+        m = np.ldexp(m, 53)  # integers below 2^53
+        hi = np.floor(np.ldexp(m, -27))
+        lo = m - np.ldexp(hi, 27)
+        e += 1073  # frexp's exponents are >= -1073, so the offsets are >= 0
+        his, los = (np.bincount(e, weights=w) for w in (hi, lo))
+        for i in np.flatnonzero(his + los).tolist():
+            total += ((int(his[i]) << 27) + int(los[i])) << i
+    return total / (1 << 1126)  # the value of offset 0 is 2^(-1073-53)
+
+
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
                        mesh: MeshSpec, threads: int) -> float:
-    """fsum of (f - op f)^2 over the mesh points, which are checked before f
-    is called. When every point is a node of Cbar or Bbar, f is sampled
-    once, at its four node tables."""
+    """Exactly rounded sum (_exact_sum) of (f - op f)^2 over the mesh
+    points, which are checked before f is called. When every point is a
+    node of Cbar or Bbar, f is sampled once, at its four node tables."""
     pts = _checked_points(mesh.points)
     nodes = _quadrant_node_index(pts, op.n) if op.kind != "Bstancu" and len(pts) else None
     if nodes is None:
@@ -497,7 +534,7 @@ def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
         sq = _piecewise_disk_batch((op.n,), [tables], *_quadrant_coordinates(pts), threads)[0]
     np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
     sq *= sq
-    return math.fsum(sq)
+    return _exact_sum(sq)
 
 
 def rmse(
@@ -521,7 +558,7 @@ def rmse(
 
 def _cells(example_id: int, n_list: Sequence[int],
            threads: int | None) -> Iterator[tuple[int, str, MeshSpec, float]]:
-    """(n, operator kind, mesh, fsum of squared errors) of each published
+    """(n, operator kind, mesh, sum of squared errors) of each published
     cell of one built-in function: per n, the piecewise quadrant operator
     on the deduplicated quadrant mesh, then the chord-mesh disk operator."""
     threads = _threads(threads)

@@ -1,7 +1,7 @@
 """Vectorized f: the samplers call a declared f once per block, with
-read-only arrays, and the declared builtins keep the bits of their math
-forms; an undeclared f is still called once per point with Python floats,
-in (k, j) or point order.
+read-only arrays, and the four declared builtins keep the bits of their
+math forms; an undeclared f is still called once per point with Python
+floats, in (k, j) or point order.
 """
 
 import math
@@ -36,6 +36,10 @@ def math_example2(x, y):
     return math.sin(10 * x + y)
 
 
+def math_example3(x, y):
+    return math.exp(x * x - y * y) - x * y
+
+
 def math_example4(x, y):
     r2 = x * x + y * y
     if r2 < 0.5:
@@ -45,19 +49,24 @@ def math_example4(x, y):
     return 0.5
 
 
-MATH_FORMS = {1: math_example1, 2: math_example2, 4: math_example4}
+MATH_FORMS = {1: math_example1, 2: math_example2, 3: math_example3, 4: math_example4}
 
 
 def per_point(f, x, y):
     return np.array([f(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
-def test_builtins_1_2_4_are_declared_and_3_is_not():
+def test_builtins_are_declared():
     assert diskbern.vectorized is biv.vectorized
-    for e in (1, 2, 4):
+    for e in (1, 2, 3, 4):
         assert isinstance(ex.builtin(e), biv.vectorized)
-    # np.exp and math.exp differ by 1 ulp on about 5% of arguments
-    assert not isinstance(ex.builtin(3), biv.vectorized)
+
+
+def test_example3_called_with_numbers_is_its_math_form():
+    f = ex.builtin(3)
+    for x, y in ((0.3, 0.4), (-0.7, 0.1), (0.0, -1.0), (1, 0)):
+        value = f(x, y)
+        assert type(value) is float and value == math_example3(x, y)
 
 
 @pytest.mark.parametrize("n", MESH_N)
@@ -136,7 +145,7 @@ def row_loop_calls(counts, nodes):
 def test_undeclared_f_keeps_its_call_sequence(n):
     """One call per node in (k, j) order across several node blocks (320
     spans 13), and per point in point order across _sample_points blocks."""
-    f = ex.builtin(3)
+    f = math_example3
     for counts, nodes in ((np.full(n + 1, n), disk._chord_nodes(n)),
                           (n - np.arange(n + 1), disk._quadrant_nodes(n, disk.Quadrant.B3))):
         g, calls = recorded_floats(f)
@@ -153,14 +162,18 @@ def test_undeclared_f_keeps_its_call_sequence(n):
 
 
 def test_example3_calls_per_tables_pass(monkeypatch):
-    """Example 3 is undeclared: a tables pass still calls it once per node
-    of the Cbar cells' tables and once per chord node and chord-mesh point
-    of the Bstancu cells."""
-    g, calls = recorded_floats(ex.builtin(3))
+    """Example 3 is declared: a tables pass calls it once per node table
+    (n <= 80 fits one block: four per Cbar cell, one per Bstancu cell) and
+    once per 512 chord-mesh points, at the 85,248 points it was called at
+    one by one when undeclared."""
+    g, calls = recorded_arrays(ex.builtin(3))
     monkeypatch.setitem(ex.BUILTINS, "example3", g)
     ex.run_example(3, threads=1)
-    assert len(calls) == 85_248
-    assert len(calls) == sum(2 * (n + 1) * (n + 2) + 2 * (n + 1) ** 2 for n in ex.DEFAULT_N_LIST)
+    assert sum(x.size for x, _ in calls) == 85_248
+    assert sum(x.size for x, _ in calls) == sum(2 * (n + 1) * (n + 2) + 2 * (n + 1) ** 2
+                                                for n in ex.DEFAULT_N_LIST)
+    assert len(calls) == 85
+    assert len(calls) == sum(5 + -(-(n + 1) ** 2 // biv._BLOCK) for n in ex.DEFAULT_N_LIST)
 
 
 def recorded_arrays(f):

@@ -2,9 +2,10 @@
 indices and the same content as the two-sort construction they replace, the
 calling thread is one of the `threads` that evaluate them, the chord
 coordinates are finished in place, `rmse` squares in place with unchanged
-bits, a Cbar or Bbar cell on its own quadrant mesh reads f at the mesh from
-its node tables with the bits of a per-point sample, reference_report takes
-both denominators from one sum, and nonsense thread counts and degrees fail
+bits and sums the squares exactly rounded, as math.fsum does, a Cbar or
+Bbar cell on its own quadrant mesh reads f at the mesh from its node
+tables with the bits of a per-point sample, reference_report takes both
+denominators from one sum, and nonsense thread counts and degrees fail
 before any work.
 """
 
@@ -17,6 +18,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskbern import disk
 from diskbern import experiments as ex
@@ -219,6 +222,46 @@ def test_rmse_keeps_its_bits(example):
             for denominator, denom in (("nominal", mesh.nominal_size), ("actual", len(mesh.points))):
                 expected = math.sqrt(math.fsum(sq) / denom)
                 assert ex.rmse(f, op, mesh, denominator=denominator) == expected
+
+
+def fsum_outcome(total, values):
+    """total(values), or OverflowError when the sum is beyond the float range."""
+    try:
+        return total(values)
+    except OverflowError:
+        return OverflowError
+
+
+# Non-negative floats: zeros, subnormals, the float range's ends, inf, and
+# integers times powers of two, whose sums often fall half way between two
+# floats (2^53 + 1, 1 + 2^-53).
+SQUARES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 2.0 ** -53, 1.0, 3.0, 2.0 ** 53,
+                     1.7976931348623157e308, math.inf]),
+    st.floats(0.0, 1e-300),
+    st.floats(0.0, math.inf),
+    st.builds(math.ldexp, st.integers(0, 2 ** 53), st.integers(-1126, 970)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SQUARES, max_size=60))
+def test_exact_sum_is_fsum(values):
+    expected = fsum_outcome(math.fsum, values)
+    got = fsum_outcome(ex._exact_sum, np.array(values, dtype=float))
+    assert got == expected and type(got) is type(expected)
+
+
+def test_exact_sum_is_fsum_across_blocks(monkeypatch):
+    rng = np.random.default_rng(11)
+    wide = np.ldexp(rng.random(5000), rng.integers(-1100, 60, 5000))
+    squares = rng.random(2 * ex._SUM_BLOCK + 3) ** 2
+    assert ex._exact_sum(squares) == math.fsum(squares)
+    monkeypatch.setattr(ex, "_SUM_BLOCK", 7)
+    assert ex._exact_sum(wide) == math.fsum(wide)
+    assert ex._exact_sum(np.r_[wide, math.inf, wide]) == math.inf
+    with pytest.raises(OverflowError):
+        ex._exact_sum(np.full(20, 1.7e308))
 
 
 class Counted:
