@@ -418,6 +418,7 @@ def monomial_image(
     which is one of "1", "x", "y", "x2", "xy", "y2". The "y2" form depends
     on the schedule and is only provided for "n-minus-k" and "k".
     """
+    n = _degree(n)
     if not dom.contains(x, y):
         raise ValueError(f"point ({x}, {y}) outside the domain")
     a, b = dom.a, dom.b

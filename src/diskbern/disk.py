@@ -160,34 +160,6 @@ def _quadrant_nodes(n: int, q: Quadrant) -> Callable:
     return nodes
 
 
-def _quadrant_node_index(pts: np.ndarray, n: int) -> tuple[np.ndarray, ...] | None:
-    """Per point of pts, an (m, 2) array, its quadrant's index in Quadrant and
-    its (k, j) when every point has the bits of node (k, j) of its quadrant's
-    quadrant_node_table at degree n, else None. The quadrant is that of the
-    sign bits: a +0.0 on an axis is read from a quadrant whose sign there is +."""
-    x, y = pts.T
-    k = _node_coordinate(x, n)
-    j = None if k is None else _node_coordinate(y, n)
-    if j is None or not np.all(k + j <= n):
-        return None
-    return np.signbit(x) ^ np.signbit(y) * np.int8(3), k, j  # B1, B2, B3, B4 = 0, 1, 2, 3
-
-
-def _node_coordinate(c: np.ndarray, n: int) -> np.ndarray | None:
-    """m = rint(n c^2) as int32 when each value of c has the bits of
-    +-_node_roots(n)[m], m <= n, else None; built in one float array."""
-    m = np.clip(c, -2.0, 2.0)  # clipped: no overflow, and still no node
-    m *= m
-    m *= n
-    np.rint(m, out=m)
-    if not np.all(m <= n):  # also false for a NaN or inf value
-        return None
-    index = m.astype(np.int32)
-    m /= n
-    np.sqrt(m, out=m)  # _node_roots(n)[index], with its bits
-    return index if np.array_equal(np.copysign(m, c, out=m), c) else None
-
-
 def _quadrant_values(f: Callable[[float, float], float], q: Quadrant, n: int,
                      points: list[tuple[float, float]]) -> list[float]:
     """The quadrant closed form of f in q at each (x, y) of points: the nested
@@ -306,8 +278,7 @@ def axis_continuity_check(
     which: "stancu" or "bernstein-type". Sampling covers all four half-axes
     with `samples` uniformly spaced points each (endpoints included).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _degree(samples, name="samples")
     if which not in ("stancu", "bernstein-type"):
         raise KeyError(which)
     # Both constructions evaluate the same closed form: each quadrant's, in

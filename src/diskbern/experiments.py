@@ -19,7 +19,7 @@ import numpy as np
 from . import _blas
 from .bivariate import _node_values, _sample_points, vectorized
 from .disk import (_QUADRANTS, _SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_index,
-                   _quadrant_node_index, quadrant_node_table)
+                   quadrant_node_table)
 from .univariate import _EPS, _degree, _degree_rows, basis_rows
 
 __all__ = [
@@ -517,21 +517,10 @@ def _exact_sum(values: np.ndarray) -> float:
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
                        mesh: MeshSpec, threads: int) -> float:
     """Exactly rounded sum (_exact_sum) of (f - op f)^2 over the mesh
-    points, which are checked before f is called. When every point is a
-    node of Cbar or Bbar, f is sampled once, at its four node tables."""
+    points, which are checked before f is called."""
     pts = _checked_points(mesh.points)
-    nodes = _quadrant_node_index(pts, op.n) if op.kind != "Bstancu" and len(pts) else None
-    if nodes is None:
-        z = _sample_points(f, pts)
-        sq = _operator_values(op.kind, f, (op.n,), pts, threads)[0]
-    else:
-        tables = [quadrant_node_table(f, op.n, q) for q in _QUADRANTS]
-        z = np.empty(len(pts))
-        for i, tab in enumerate(tables):  # one table at a time, never stacked
-            sel = nodes[0] == i  # nodes is (quadrant, k, j)
-            z[sel] = tab[nodes[1][sel], nodes[2][sel]]
-        del nodes, sel  # freed before the kernel, which sets the cell's peak memory
-        sq = _piecewise_disk_batch((op.n,), [tables], *_quadrant_coordinates(pts), threads)[0]
+    z = _sample_points(f, pts)
+    sq = _operator_values(op.kind, f, (op.n,), pts, threads)[0]
     np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
     sq *= sq
     return _exact_sum(sq)
@@ -668,9 +657,7 @@ def cross_section(
     values have the bits of one DiskOperator call per n; Cbar and Bbar
     compute every n in one sweep of the degrees.
     """
-    threads = _threads(threads)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    threads, samples = _threads(threads), _degree(samples, name="samples")
     (x0, y0), (x1, y1) = segment
     if x0 == x1 and y0 == y1:
         raise ValueError("degenerate segment")

@@ -70,14 +70,15 @@ class Interval:
 UNIT_INTERVAL = Interval(0.0, 1.0)
 
 
-def _degree(n) -> int:
-    """n as an int; ValueError unless it is an integer >= 1."""
+def _degree(n, least: int = 1, name: str = "n") -> int:
+    """n as an int; ValueError unless it is an integer >= least. A count
+    such as samples takes the same rule under its own name."""
     try:
         value = operator.index(n)
     except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
-    if value < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}" if least else "degree must be non-negative")
     return value
 
 
@@ -156,9 +157,7 @@ def basis_classical(n: int, k: int, x: float) -> float:
 
 def basis_row(n: int, x: float) -> np.ndarray:
     """All n+1 Bernstein basis values at x, stable for n up to ~400."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return _row_triangle([n], x)[0]
+    return _row_triangle([_degree(n, 0)], x)[0]
 
 
 def _row_triangle(degrees: list[int], x: float) -> np.ndarray:
@@ -224,8 +223,7 @@ def _degree_rows(n: int, xs: np.ndarray):
     array as its buffer. Each yielded array is contiguous, and the next
     degree overwrites it.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
+    n = _degree(n, 0)
     xs = _check_unit_array(xs)
     k = np.arange(n + 1)
     interior = (xs > 0.0) & (xs < 1.0)
@@ -273,7 +271,7 @@ def basis_shifted_derivative(n: int, k: int, x: float, iv: Interval) -> float:
 
 def basis_argmax(n: int, k: int, iv: Interval) -> tuple[float, float]:
     """Location and value of the unique maximum of the shifted basis member."""
-    if n < 1:
+    if _degree(n, 0) < 1:
         raise ValueError("degree-0 basis has no unique maximum")
     if not 0 <= k <= n:
         raise ValueError(f"basis index {k} out of range [0, {n}]")

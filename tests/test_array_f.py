@@ -164,16 +164,17 @@ def test_undeclared_f_keeps_its_call_sequence(n):
 def test_example3_calls_per_tables_pass(monkeypatch):
     """Example 3 is declared: a tables pass calls it once per node table
     (n <= 80 fits one block: four per Cbar cell, one per Bstancu cell) and
-    once per 512 chord-mesh points, at the 85,248 points it was called at
-    one by one when undeclared."""
+    once per 512 points of each mesh, at the 126,776 points it was called
+    at one by one when undeclared."""
     g, calls = recorded_arrays(ex.builtin(3))
     monkeypatch.setitem(ex.BUILTINS, "example3", g)
     ex.run_example(3, threads=1)
-    assert sum(x.size for x, _ in calls) == 85_248
-    assert sum(x.size for x, _ in calls) == sum(2 * (n + 1) * (n + 2) + 2 * (n + 1) ** 2
-                                                for n in ex.DEFAULT_N_LIST)
-    assert len(calls) == 85
-    assert len(calls) == sum(5 + -(-(n + 1) ** 2 // biv._BLOCK) for n in ex.DEFAULT_N_LIST)
+    assert sum(x.size for x, _ in calls) == 126_776
+    assert sum(x.size for x, _ in calls) == sum(
+        2 * (n + 1) * (n + 2) + 2 * n * (n + 1) + 1 + 2 * (n + 1) ** 2 for n in ex.DEFAULT_N_LIST)
+    assert len(calls) == 170
+    assert len(calls) == sum(5 + -(-(n + 1) ** 2 // biv._BLOCK)
+                             + -(-(2 * n * (n + 1) + 1) // biv._BLOCK) for n in ex.DEFAULT_N_LIST)
 
 
 def recorded_arrays(f):

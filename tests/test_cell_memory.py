@@ -2,11 +2,10 @@
 indices and the same content as the two-sort construction they replace, the
 calling thread is one of the `threads` that evaluate them, the chord
 coordinates are finished in place, `rmse` squares in place with unchanged
-bits and sums the squares exactly rounded, as math.fsum does, a Cbar or
-Bbar cell on its own quadrant mesh reads f at the mesh from its node
-tables with the bits of a per-point sample, reference_report takes both
-denominators from one sum, and nonsense thread counts and degrees fail
-before any work.
+bits and sums the squares exactly rounded, as math.fsum does, every cell
+samples f once at each of its points besides the operator's node tables,
+reference_report takes both denominators from one sum, and nonsense thread
+counts and degrees fail before any work.
 """
 
 import dataclasses
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskbern import disk
 from diskbern import experiments as ex
 from diskbern.univariate import _degree_rows, basis_rows
 
@@ -286,23 +284,27 @@ def per_point_rmse(f, op, mesh, denominator):
     return math.sqrt(math.fsum((z - op(f, mesh.points)) ** 2) / denom)
 
 
+def assert_rmse_samples_f_at_every_point(op, mesh, functions, denominators=("nominal",)):
+    """rmse has the per-point bits and calls f once per mesh point plus
+    once per node of the tables the operator reads."""
+    for f in functions:
+        nodes = Counted(f)
+        op(nodes, mesh.points)
+        for denominator in denominators:
+            counted = Counted(f)
+            assert ex.rmse(counted, op, mesh, denominator=denominator) == per_point_rmse(
+                f, op, mesh, denominator)
+            assert counted.calls == len(mesh.points) + nodes.calls
+
+
 @pytest.mark.parametrize("dedup", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_quadrant_cell_reads_f_from_its_node_tables_with_the_per_point_bits(n, dedup):
     mesh = ex.mesh_quadrant_disk(n, dedup)
-    for f in (signs, ex.builtin(1), ex.builtin(4)):
-        tables = [ex.quadrant_node_table(f, n, q) for q in ex._QUADRANTS]
-        z = np.array([f(x, y) for x, y in mesh.points.tolist()])
-        quad, k, j = disk._quadrant_node_index(mesh.points, n)
-        read = np.array([tables[q][a, b] for q, a, b in zip(quad.tolist(), k.tolist(), j.tolist())])
-        assert read.tobytes() == z.tobytes()
-        for kind in ("Cbar", "Bbar"):
-            op = ex.disk_operator(kind, n)
-            for denominator in ("nominal", "actual"):
-                counted = Counted(f)
-                value = ex.rmse(counted, op, mesh, denominator=denominator)
-                assert value == per_point_rmse(f, op, mesh, denominator)
-                assert counted.calls == 2 * (n + 1) * (n + 2)  # the four node tables alone
+    for kind in ("Cbar", "Bbar"):
+        assert_rmse_samples_f_at_every_point(ex.disk_operator(kind, n), mesh,
+                                             (signs, ex.builtin(1), ex.builtin(4)),
+                                             ("nominal", "actual"))
 
 
 @pytest.mark.parametrize("kind, n, mesh", [
@@ -313,13 +315,7 @@ def test_quadrant_cell_reads_f_from_its_node_tables_with_the_per_point_bits(n, d
     ("Cbar", 7, ex.mesh_stancu_disk(7)),
 ])
 def test_other_cells_still_sample_f_at_every_mesh_point(kind, n, mesh):
-    op = ex.disk_operator(kind, n)
-    for f in (signs, ex.builtin(2)):
-        nodes = Counted(f)
-        op(nodes, mesh.points)
-        counted = Counted(f)
-        assert ex.rmse(counted, op, mesh) == per_point_rmse(f, op, mesh, "nominal")
-        assert counted.calls == len(mesh.points) + nodes.calls
+    assert_rmse_samples_f_at_every_point(ex.disk_operator(kind, n), mesh, (signs, ex.builtin(2)))
 
 
 def node_point_sets(n):
@@ -327,7 +323,7 @@ def node_point_sets(n):
     though MeshSpec's fields do not say so or say otherwise."""
     mesh = ex.mesh_quadrant_disk(n)
     zeros = mesh.points.copy()
-    zeros[zeros == 0.0] = -0.0  # read from the quadrants whose sign there is -
+    zeros[zeros == 0.0] = -0.0  # signs tells these from +0.0
     return {"reversed": dataclasses.replace(mesh, points=mesh.points[::-1].copy()),
             "every other": dataclasses.replace(mesh, points=mesh.points[::2].copy()),
             "dedup field False": dataclasses.replace(mesh, dedup=False),
@@ -340,13 +336,9 @@ def node_point_sets(n):
 @pytest.mark.parametrize("n", [8, 9])
 @pytest.mark.parametrize("kind", ["Cbar", "Bbar"])
 def test_any_node_point_set_reads_f_from_the_node_tables(kind, n, points):
-    mesh, op = node_point_sets(n)[points], ex.disk_operator(kind, n)
-    for f in (signs, *map(ex.builtin, (1, 2, 3, 4))):
-        for denominator in ("nominal", "actual"):
-            counted = Counted(f)
-            assert ex.rmse(counted, op, mesh, denominator=denominator) == per_point_rmse(
-                f, op, mesh, denominator)
-            assert counted.calls == 2 * (n + 1) * (n + 2)  # the four node tables alone
+    assert_rmse_samples_f_at_every_point(ex.disk_operator(kind, n), node_point_sets(n)[points],
+                                         (signs, *map(ex.builtin, (1, 2, 3, 4))),
+                                         ("nominal", "actual"))
 
 
 def off_node_point_sets():
@@ -360,77 +352,8 @@ def off_node_point_sets():
 
 @pytest.mark.parametrize("points", ["one ulp off", "empty", "chord, quadrant fields"])
 def test_a_point_off_the_nodes_samples_f_at_every_point(points):
-    mesh, op = off_node_point_sets()[points], ex.disk_operator("Cbar", 7)
-    for f in (signs, ex.builtin(2)):
-        nodes = Counted(f)
-        op(nodes, mesh.points)
-        counted = Counted(f)
-        assert ex.rmse(counted, op, mesh) == per_point_rmse(f, op, mesh, "nominal")
-        assert counted.calls == len(mesh.points) + nodes.calls
-
-
-def test_node_index_takes_only_the_bits_of_a_node():
-    n = 6
-    pts = ex.mesh_quadrant_disk(n, dedup=False).points
-    quad, k, j = disk._quadrant_node_index(pts, n)
-    roots = np.sqrt(np.arange(n + 1) / n)
-    signs_of = np.array([q.value for q in ex._QUADRANTS])[quad]
-    nodes = np.column_stack((signs_of[:, 0] * roots[k], signs_of[:, 1] * roots[j]))
-    assert nodes.tobytes() == pts.tobytes()  # the signs of zero too
-    quad2, k2, j2 = disk._quadrant_node_index(pts, 2 * n)  # a degree-n node is one of degree 2n
-    assert np.array_equal(quad2, quad) and np.array_equal(k2, 2 * k) and np.array_equal(j2, 2 * j)
-    for bad in (np.nextafter(pts[9], 2.0), [math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0],
-                [1.0, 1.0], [0.5, 0.5]):
-        assert disk._quadrant_node_index(np.vstack((pts, [bad])), n) is None
-    assert disk._quadrant_node_index(pts, n - 1) is None
-
-
-def node_index_whole_array(pts, n):
-    """_quadrant_node_index as it was: both coordinates rounded at once, then
-    checked against a gather of the roots."""
-    x, y = pts.T
-    k, j = np.rint(n * np.clip(pts.T, -2.0, 2.0) ** 2)
-    if not np.all(k + j <= n):
-        return None
-    roots, k, j = np.sqrt(np.arange(n + 1) / n), k.astype(np.int32), j.astype(np.int32)
-    if np.all(np.copysign(roots[k], x) == x) and np.all(np.copysign(roots[j], y) == y):
-        return np.signbit(x) ^ np.signbit(y) * np.int8(3), k, j
-    return None
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
-def test_node_index_decides_as_the_whole_array_rule(n):
-    rng = np.random.default_rng(n)
-    mesh = ex.mesh_quadrant_disk(n).points
-    sets = [mesh, ex.mesh_quadrant_disk(n, dedup=False).points, -mesh, mesh[::-1, ::-1]]
-    for change in (lambda v: np.nextafter(v, 2.0), lambda v: np.nextafter(v, -2.0),
-                   lambda v: math.nan, lambda v: -math.inf, lambda v: 1e300, lambda v: -v):
-        for c in (0, 1):
-            pts = mesh[rng.integers(0, len(mesh), 40)]
-            pts[rng.integers(0, 40), c] = change(pts[0, c])
-            sets.append(pts)
-    for pts in sets:
-        for degree in (n, 2 * n, n + 1):
-            got, expected = disk._quadrant_node_index(pts, degree), node_index_whole_array(pts, degree)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                for a, b in zip(got, expected):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_node_index_holds_under_20_bytes_a_point():
-    n = 120
-    pts = ex.mesh_quadrant_disk(n).points
-    for bad in (None, np.nextafter(pts[9], 2.0)):  # every point a node; the last one off them
-        pts = pts if bad is None else np.vstack((pts, [bad]))
-        tracemalloc.start()
-        try:
-            found = disk._quadrant_node_index(pts, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (found is None) == (bad is not None)
-        assert peak <= 20 * len(pts)
+    assert_rmse_samples_f_at_every_point(ex.disk_operator("Cbar", 7), off_node_point_sets()[points],
+                                         (signs, ex.builtin(2)))
 
 
 @pytest.mark.parametrize("example", [1, 2, 3, 4])

@@ -283,6 +283,11 @@ class TestPiecewise:
             for f in (SMOOTH_FUNCTIONS[2], step):
                 assert axis_continuity_check(which, f, 20, samples=16) <= 1e-10
 
+    @pytest.mark.parametrize("samples", [0, -4, 2.5, "3"])
+    def test_axis_check_rejects_bad_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            axis_continuity_check("stancu", SMOOTH_FUNCTIONS[2], 5, samples=samples)
+
     def test_outside_disk_raises(self):
         with pytest.raises(ValueError):
             piecewise_stancu_disk(lambda a, b: 1.0, 3, 0.9, 0.9)

@@ -238,7 +238,7 @@ class TestCrossSection:
         with pytest.raises(ValueError):
             ex.cross_section("Cbar", ex.builtin(1), [4], segment=((0, 0), (0, 0)))
 
-    @pytest.mark.parametrize("samples", [0, -4])
+    @pytest.mark.parametrize("samples", [0, -4, 2.5, "3"])
     def test_non_positive_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             ex.cross_section("Cbar", ex.builtin(1), [4], samples=samples)

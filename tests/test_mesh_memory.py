@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diskbern import bivariate as biv
 from diskbern import experiments as ex
+from diskbern import univariate as uni
 from diskbern.disk import check_f_values
 from diskbern.univariate import basis_rows
 
@@ -112,6 +114,34 @@ def test_non_integral_degree_raises(n):
     for kind in ("Cbar", "Bstancu"):
         with pytest.raises(ValueError, match="n must be an integer"):
             ex.disk_operator(kind, n)
+    f = lambda t: t * t
+    tau = uni.identity_transform()
+    calls = [
+        lambda: uni.basis_row(n, 0.3),
+        lambda: uni.basis_rows(n, [0.3]),
+        lambda: uni.basis_classical(n, 1, 0.3),
+        lambda: uni.basis_argmax(n, 1, uni.UNIT_INTERVAL),
+        lambda: uni.bernstein(f, n, 0.3),
+        lambda: uni.bernstein_shifted(f, n, 0.3, uni.UNIT_INTERVAL),
+        lambda: uni.c_tau(f, tau, n, 0.3),
+        lambda: biv.monomial_image("x2", biv.UNIT_SQUARE, n, biv.NodeSchedule.n_minus_k(), 0.5, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call()
+
+
+def test_degree_zero_keeps_its_rules():
+    f = lambda t: t + 2.0
+    assert uni.basis_row(0, 0.3).tolist() == [1.0]
+    assert uni.basis_rows(0, [0.3]).tolist() == [[1.0]]
+    assert uni.bernstein(f, 0, 0.3) == 2.0
+    with pytest.raises(ValueError, match="no unique maximum"):
+        uni.basis_argmax(0, 0, uni.UNIT_INTERVAL)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        uni.basis_row(-1, 0.3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        biv.monomial_image("x2", biv.UNIT_SQUARE, 0, biv.NodeSchedule.n_minus_k(), 0.5, 0.5)
 
 
 def test_numpy_integer_degree_is_an_int():
