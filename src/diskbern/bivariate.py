@@ -8,7 +8,6 @@ x-dependent node count) inside one in x.
 from __future__ import annotations
 
 import functools
-import operator
 import threading
 import warnings
 from collections import OrderedDict
@@ -96,13 +95,7 @@ class NodeSchedule:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "constant":
-            try:
-                m = operator.index(self.m)
-            except TypeError:
-                m = 0
-            if m < 1:
-                raise ValueError(f"constant schedule needs an integer m >= 1, got {self.m!r}")
-            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "m", _degree(self.m, name="m"))
         elif self.m is not None:
             raise ValueError("m is only meaningful for the constant schedule")
 

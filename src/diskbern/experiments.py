@@ -8,7 +8,6 @@ identical for any thread count.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -98,17 +97,8 @@ def builtin(example_id: int | str) -> Callable[[float, float], float]:
 
 
 def _threads(threads):
-    """threads as None or an int; ValueError unless it is None or an
-    integer >= 1."""
-    if threads is None:
-        return None
-    try:
-        value = operator.index(threads)
-    except TypeError:
-        value = None
-    if value is None or value < 1:
-        raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
-    return value
+    """threads as None or an int >= 1, by _degree's rule."""
+    return None if threads is None else _degree(threads, name="threads")
 
 
 def _quadrant_indices(n: int, q: Quadrant, dedup: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -327,21 +317,21 @@ def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.clip(t, 0.0, 1.0, out=t)
 
 
-def _chord_disk_batch(f: Callable[[float, float], float], n: int,
-                      pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Disk Bernstein-Stancu values (constant schedule n_k = n) at many points."""
-    fnode = _node_values(f, np.full(n + 1, n), _chord_nodes(n))
-
+def _chord_disk_batch(n: int, table: np.ndarray, groups: list[_Group], size: int,
+                      threads: int | None) -> np.ndarray:
+    """Disk Bernstein-Stancu values (constant schedule n_k = n) from its
+    node table at size points, which groups splits by their
+    _chord_coordinates."""
     def evaluate(g: _Group) -> np.ndarray:
         pt = basis_rows(n, g.t)  # first, so its temporaries are gone before the gemm
-        gu = basis_rows(n, g.u) @ fnode
+        gu = basis_rows(n, g.u) @ table
         values = np.empty(g.points.size)
         for a in range(0, values.size, _GATHER):
             s = slice(a, a + _GATHER)
             values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
         return values
 
-    return _evaluate_groups(evaluate, _groups(*_chord_coordinates(pts)), len(pts), threads)
+    return _evaluate_groups(evaluate, groups, size, threads)
 
 
 def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,14 +348,14 @@ def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.ndarray | None]],
-                          u: np.ndarray, t: np.ndarray, quad: np.ndarray,
-                          threads: int | None = None) -> np.ndarray:
+                          groups: list[_Group], quad: np.ndarray,
+                          threads: int | None) -> np.ndarray:
     """Piecewise quadrant-polynomial values for every degree in degrees
     (distinct, ascending) at the points whose _quadrant_coordinates are
-    (u, t, quad), as a (len(degrees), len(u)) array, each point from its
-    quadrant's table. tables[d][i] is the node table of degree degrees[d]
-    and quadrant _QUADRANTS[i], sampled by the caller; it may be None where
-    no point lies in that quadrant.
+    (u, t, quad), which groups splits by (u, t), as a (len(degrees),
+    len(quad)) array, each point from its quadrant's table. tables[d][i] is
+    the node table of degree degrees[d] and quadrant _QUADRANTS[i], sampled
+    by the caller; it may be None where no point lies in that quadrant.
 
     One sweep of _degree_rows(max(degrees), t) per group serves every
     degree: the rows of degree m go to operator n at k = n - m. As m falls,
@@ -393,7 +383,7 @@ def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.n
                 acc += pu[k].take(g.ui) * d.take(at)
         return values
 
-    return _evaluate_groups(evaluate, _groups(u, t), (len(degrees), len(u)), threads)
+    return _evaluate_groups(evaluate, groups, (len(degrees), len(quad)), threads)
 
 
 def _sweeps(degrees: Sequence[int]) -> list[list[int]]:
@@ -430,27 +420,42 @@ def _checked_points(pts) -> np.ndarray:
     return pts
 
 
+_KINDS = {"Cbar": "Cbar", "Bbar": "Bbar", "Bstancu": "Bstancu", "Bstancu-disk": "Bstancu"}
+
+
+def _kind(kind: str) -> str:
+    """The operator kind an accepted name stands for."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return _KINDS[kind]
+
+
 def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence[int],
-                     pts: np.ndarray, threads: int | None) -> Sequence[np.ndarray]:
-    """Values of operator kind at checked points, one array per degree in
-    ns; each distinct degree is computed once. Cbar and Bbar sweep several
+                     pts, threads: int | None) -> Sequence[np.ndarray]:
+    """Values of operator kind at the points, one array per degree in ns;
+    each distinct degree is computed once. The kind, every degree, the
+    points (_checked_points) and threads are checked before anything else,
+    f included, also when ns or pts is empty. The groups are built once per
+    call, and the node tables are sampled here; Cbar and Bbar sweep several
     degrees at once (_sweeps)."""
-    if len(pts) == 0:
-        return np.zeros((len(ns), 0))
-    degrees = sorted(set(ns))
-    if kind in ("Cbar", "Bbar"):
+    kind, degrees = _kind(kind), sorted({_degree(n) for n in ns})
+    pts, threads = _checked_points(pts), _threads(threads)
+    if len(pts) == 0 or not degrees:
+        return np.zeros((len(ns), len(pts)))
+    if kind == "Bstancu":
+        groups = _groups(*_chord_coordinates(pts))
+        values = {n: _chord_disk_batch(n, _node_values(f, np.full(n + 1, n), _chord_nodes(n)),
+                                       groups, len(pts), threads) for n in degrees}
+    else:
         u, t, quad = _quadrant_coordinates(pts)
+        groups = _groups(u, t)
         present = np.bincount(quad, minlength=len(_QUADRANTS)) > 0
         values = {}
         for sweep in _sweeps(degrees):  # one sweep's tables live at a time
             values.update(zip(sweep, _piecewise_disk_batch(
                 sweep, [[quadrant_node_table(f, n, q) if here else None
                          for q, here in zip(_QUADRANTS, present)] for n in sweep],
-                u, t, quad, threads)))
-    elif kind == "Bstancu":
-        values = {n: _chord_disk_batch(f, n, pts, threads) for n in degrees}
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
+                groups, quad, threads)))
     return [values[n] for n in ns]
 
 
@@ -462,15 +467,11 @@ class DiskOperator:
     n: int
 
     def __call__(self, f, pts: np.ndarray, threads: int | None = None) -> np.ndarray:
-        threads = _threads(threads)
-        return _operator_values(self.kind, f, (self.n,), _checked_points(pts), threads)[0]
+        return _operator_values(self.kind, f, (self.n,), pts, threads)[0]
 
 
 def disk_operator(kind: str, n: int) -> DiskOperator:
-    aliases = {"Cbar": "Cbar", "Bbar": "Bbar", "Bstancu": "Bstancu", "Bstancu-disk": "Bstancu"}
-    if kind not in aliases:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    return DiskOperator(aliases[kind], _degree(n))
+    return DiskOperator(_kind(kind), _degree(n))
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +516,12 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
-                       mesh: MeshSpec, threads: int) -> float:
+                       mesh: MeshSpec, threads: int | None) -> float:
     """Exactly rounded sum (_exact_sum) of (f - op f)^2 over the mesh
-    points, which are checked before f is called."""
-    pts = _checked_points(mesh.points)
-    z = _sample_points(f, pts)
-    sq = _operator_values(op.kind, f, (op.n,), pts, threads)[0]
-    np.subtract(z, sq, out=sq)  # the error and its square in place: (z - zhat) ** 2's bits
+    points: the operator first, whose call checks the points before f is
+    called, then f at them."""
+    sq = _operator_values(op.kind, f, (op.n,), mesh.points, threads)[0]
+    np.subtract(_sample_points(f, mesh.points), sq, out=sq)  # in place: (z - zhat) ** 2's bits
     sq *= sq
     return _exact_sum(sq)
 
@@ -540,7 +540,7 @@ def rmse(
     """
     if denominator not in ("nominal", "actual"):
         raise ValueError(f"unknown denominator {denominator!r}; use 'nominal' or 'actual'")
-    total = _squared_error_sum(f, op, mesh, _threads(threads))
+    total = _squared_error_sum(f, op, mesh, threads)
     denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
     return math.sqrt(total / denom)
 
@@ -550,7 +550,6 @@ def _cells(example_id: int, n_list: Sequence[int],
     """(n, operator kind, mesh, sum of squared errors) of each published
     cell of one built-in function: per n, the piecewise quadrant operator
     on the deduplicated quadrant mesh, then the chord-mesh disk operator."""
-    threads = _threads(threads)
     f = builtin(example_id)
     for n in n_list:
         cases = (("Cbar", mesh_quadrant_disk(n, dedup=True)), ("Bstancu", mesh_stancu_disk(n)))
@@ -657,17 +656,13 @@ def cross_section(
     values have the bits of one DiskOperator call per n; Cbar and Bbar
     compute every n in one sweep of the degrees.
     """
-    threads, samples = _threads(threads), _degree(samples, name="samples")
+    samples = _degree(samples, name="samples")
     (x0, y0), (x1, y1) = segment
     if x0 == x1 and y0 == y1:
         raise ValueError("degenerate segment")
-    for px, py in ((x0, y0), (x1, y1)):
-        if px * px + py * py > 1.0 + _SLACK:
-            raise ValueError("segment endpoint outside the disk")
-    ops = [disk_operator(op_kind, n) for n in n_list]  # every n is checked before f is called
     s = np.linspace(0.0, 1.0, samples)
-    pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
-    cols = [values.tolist() for values in _operator_values(
-        ops[0].kind, f, [op.n for op in ops], _checked_points(pts), threads)] if ops else []
+    with np.errstate(invalid="ignore"):  # an inf endpoint gives NaN points, which are rejected
+        pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    cols = [values.tolist() for values in _operator_values(op_kind, f, n_list, pts, threads)]
     fvals = _sample_points(f, pts).tolist()
     return list(zip(s.tolist(), pts[:, 0].tolist(), pts[:, 1].tolist(), fvals, *cols))

@@ -89,7 +89,7 @@ def off_mesh_points():
 def assert_gather_keeps_bits(f, n, pts):
     expected = chord_batch_512(f, n, pts).tobytes()
     for threads in (1, 2, 7):
-        assert ex._chord_disk_batch(f, n, pts, threads=threads).tobytes() == expected
+        assert ex.disk_operator("Bstancu", n)(f, pts, threads=threads).tobytes() == expected
 
 
 def test_gather_block_keeps_bits_on_chord_meshes():

@@ -130,11 +130,12 @@ def test_one_gather_per_degree_bit_equal_to_per_member_loop(points, degrees):
            "several-groups": several_group_points()}[points]
     f = ex.builtin(1 + degrees[0] % 4)
     expected = per_member_piecewise_batch(f, degrees, pts).tobytes()
-    quad = ex._quadrant_coordinates(pts)[2]
+    u, t, quad = ex._quadrant_coordinates(pts)
+    groups = ex._groups(u, t)
     tables = [[disk.quadrant_node_table(f, n, q) if np.any(quad == i) else None
                for i, q in enumerate(ex._QUADRANTS)] for n in degrees]
     for threads in (1, 2, 3):
-        values = ex._piecewise_disk_batch(degrees, tables, *ex._quadrant_coordinates(pts), threads)
+        values = ex._piecewise_disk_batch(degrees, tables, groups, quad, threads)
         assert values.tobytes() == expected
 
 
