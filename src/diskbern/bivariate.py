@@ -16,8 +16,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import (_EPS, Interval, _degree, _row_triangle, basis_row, bernstein,
-                         bernstein_shifted, check_f_values)
+from .univariate import (_EPS, _GRID, _SLACK, Interval, _degree, _row_triangle, basis_row,
+                         bernstein, bernstein_shifted, check_f_values)
 
 __all__ = [
     "vectorized",
@@ -39,7 +39,7 @@ __all__ = [
 class CurvilinearDomain:
     """Region a <= x <= b, phi1(x) <= y <= phi2(x).
 
-    phi1 < phi2 is checked on a sampled grid; equality is tolerated only at
+    phi1 < phi2 is checked on _GRID points; equality is tolerated only at
     the endpoints x = a, b, which are then flagged as degenerate edges.
     """
 
@@ -47,12 +47,11 @@ class CurvilinearDomain:
     b: float
     phi1: Callable[[float], float]
     phi2: Callable[[float], float]
-    grid_size: int = 1024
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        xs = np.linspace(self.a, self.b, self.grid_size)
+        xs = np.linspace(self.a, self.b, _GRID)
         widths = np.array([self.phi2(x) - self.phi1(x) for x in xs])
         interior_bad = widths[1:-1] <= _EPS
         if np.any(widths < -_EPS) or np.any(interior_bad):
@@ -67,11 +66,11 @@ class CurvilinearDomain:
     def width(self, x: float) -> float:
         return self.phi2(x) - self.phi1(x)
 
-    def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
-        if not self.a - tol <= x <= self.b + tol:
+    def contains(self, x: float, y: float) -> bool:
+        if not self.a - _SLACK <= x <= self.b + _SLACK:
             return False
         xc = min(max(x, self.a), self.b)
-        return self.phi1(xc) - tol <= y <= self.phi2(xc) + tol
+        return self.phi1(xc) - _SLACK <= y <= self.phi2(xc) + _SLACK
 
 
 UNIT_SQUARE = CurvilinearDomain(0.0, 1.0, lambda x: 0.0, lambda x: 1.0)

@@ -29,10 +29,6 @@ _OPERATORS = ("Cbar", "Bbar", "Bstancu-disk")
 _BLOCK = 4096
 
 
-def _fmt(value: float, digits: int = 9) -> str:
-    return f"{value:.{digits}g}"
-
-
 def _parse_n_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
@@ -83,9 +79,9 @@ def _out_path(name: str, out: str | None) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
-    """One line per row, floats as _fmt writes them and anything else as
-    str; every row has the types of the first one. The rows are formatted
-    and written _BLOCK at a time, so any iterable of them streams.
+    """One line per row, floats as %.9g and anything else as str; every
+    row has the types of the first one. The rows are formatted and written
+    _BLOCK at a time, so any iterable of them streams.
     """
     rows = iter(rows)
     first = next(rows, None)
@@ -113,7 +109,7 @@ def cmd_eval(args) -> int:
     x, y = args.point
     op = ex.disk_operator(args.op, args.n)
     value = float(op(f, [(x, y)], threads=args.threads)[0])
-    print(_fmt(value, 12))
+    print(f"{value:.12g}")
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bivariate import NodeSchedule, _node_values, _scalar_values
-from .univariate import _EPS, Interval, _degree, basis_row, check_f_values
+from .univariate import _EPS, _SLACK, Interval, _degree, basis_row, check_f_values
 
 __all__ = [
     "Quadrant",
@@ -34,9 +34,6 @@ __all__ = [
     "axis_continuity_check",
     "quadrant_node_table",
 ]
-
-# (x, y) is in the unit disk while x^2 + y^2 <= 1 + _SLACK, here and in experiments.
-_SLACK = 1e-9
 
 
 class Quadrant(enum.Enum):
@@ -55,10 +52,10 @@ class Quadrant(enum.Enum):
     def sy(self) -> float:
         return self.value[1]
 
-    def contains(self, x: float, y: float, tol: float = 1e-12) -> bool:
+    def contains(self, x: float, y: float) -> bool:
         if x * x + y * y > 1.0 + _SLACK:
             return False
-        return self.sx * x >= -tol and self.sy * y >= -tol
+        return self.sx * x >= -_EPS and self.sy * y >= -_EPS
 
 
 _QUADRANTS = tuple(Quadrant)
@@ -70,10 +67,10 @@ def _quadrant_index(x, y):
     return (y < 0) * (2 + (x > 0)) + (y >= 0) * (x < 0)
 
 
-def check_disk_point(x: float, y: float, tol: float = _SLACK):
+def check_disk_point(x: float, y: float):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point ({x}, {y}) is not finite")
-    if x * x + y * y > 1.0 + tol:
+    if x * x + y * y > 1.0 + _SLACK:
         raise ValueError(f"point ({x}, {y}) outside the unit disk")
 
 

@@ -8,6 +8,7 @@ identical for any thread count.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import _blas
 from .bivariate import _node_values, _sample_points, vectorized
-from .disk import (_QUADRANTS, _SLACK, Quadrant, _chord_nodes, _node_roots, _quadrant_index,
+from .disk import (_QUADRANTS, Quadrant, _chord_nodes, _node_roots, _quadrant_index,
                    quadrant_node_table)
-from .univariate import _EPS, _degree, _degree_rows, basis_rows
+from .univariate import _EPS, _SLACK, _degree, _degree_rows, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -72,7 +73,7 @@ def _example3(x, y):
 @vectorized
 def _example4(x, y):
     r2 = x * x + y * y
-    return np.where(r2 < 0.5, 1.0, np.where(r2 <= 0.8, 0.0, 0.5))
+    return np.where(r2 < 0.5, 1.0, np.where(r2 <= 0.8, 0.0, 0.5))[()]  # two numbers give a number
 
 
 BUILTINS: dict[str, Callable[[float, float], float]] = {
@@ -84,21 +85,17 @@ BUILTINS: dict[str, Callable[[float, float], float]] = {
 
 
 def builtin(example_id: int | str) -> Callable[[float, float], float]:
-    """Built-in function by numeric id (1..4) or name ("example1".."4")."""
-    key = f"example{example_id}" if isinstance(example_id, int) else example_id
+    """Built-in function by numeric id (1..4, any integer type) or name
+    ("example1".."4"); ValueError for anything else."""
     try:
-        return BUILTINS[key]
-    except KeyError:
+        return BUILTINS[example_id if isinstance(example_id, str)
+                        else f"example{operator.index(example_id)}"]
+    except (KeyError, TypeError):  # TypeError: neither a string nor an integer
         raise ValueError(f"unknown built-in function {example_id!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # Meshes
-
-
-def _threads(threads):
-    """threads as None or an int >= 1, by _degree's rule."""
-    return None if threads is None else _degree(threads, name="threads")
 
 
 def _quadrant_indices(n: int, q: Quadrant, dedup: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +117,18 @@ def _quadrant_indices(n: int, q: Quadrant, dedup: bool) -> tuple[np.ndarray, np.
 @dataclass(frozen=True)
 class MeshSpec:
     """A disk mesh: its point coordinates and the (kind, n, dedup) that
-    generate them.
-
-    nominal_size is the published cardinality used as the RMSE denominator
-    regardless of deduplication.
-    """
+    generate them."""
 
     kind: str
     n: int
     dedup: bool
     points: np.ndarray
-    nominal_size: int
+
+    @property
+    def nominal_size(self) -> int:
+        """The published cardinality, the RMSE denominator whatever dedup:
+        (n+1)^2 for the chord mesh, 2n(n+1) for the quadrant mesh."""
+        return (self.n + 1) ** 2 if self.kind == "stancu" else 2 * self.n * (self.n + 1)
 
     def label_segments(self) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
         """Runs of consecutive points as (prefix, k, j): the i-th point of a
@@ -167,7 +165,7 @@ def mesh_stancu_disk(n: int) -> MeshSpec:
     x[:] = (2 * k - n) / n
     np.multiply(2.0 * np.sqrt(k * (n - k)), n - 2 * j, out=y)
     y /= n**2
-    return MeshSpec("stancu", n, False, pts, (n + 1) ** 2)
+    return MeshSpec("stancu", n, False, pts)
 
 
 def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
@@ -186,7 +184,7 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
         block[:, 0] = q.sx * roots[k] + 0.0
         block[:, 1] = q.sy * roots[j] + 0.0
         a += k.size
-    return MeshSpec("quadrant", n, dedup, pts, 2 * n * (n + 1))
+    return MeshSpec("quadrant", n, dedup, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +252,10 @@ def _groups(u: np.ndarray, t: np.ndarray) -> list[_Group]:
         cuts = np.r_[np.flatnonzero(new_u)[::_ROWS], p.size]
         for c, d in zip(cuts[:-1], cuts[1:]):
             gp = p[c:d]
-            gti = np.searchsorted(span_t, t[gp]).astype(np.int32)
-            gt = span_t
-            if d - c < p.size:  # one of several groups in the span: keep its own t
-                present = np.zeros(span_t.size, dtype=bool)
-                present[gti] = True
-                gt, gti = span_t[present], (np.cumsum(present, dtype=np.int32) - 1)[gti]
+            gti = np.searchsorted(span_t, t[gp])
+            present = np.zeros(span_t.size, dtype=bool)  # the group keeps only its own t
+            present[gti] = True
+            gt, gti = span_t[present], (np.cumsum(present, dtype=np.int32) - 1)[gti]
             gui = np.cumsum(new_u[c:d], dtype=np.int32)
             gui -= 1
             groups.append(_Group(gp, su[c:d][new_u[c:d]], gui, gt, gti))
@@ -424,10 +420,12 @@ _KINDS = {"Cbar": "Cbar", "Bbar": "Bbar", "Bstancu": "Bstancu", "Bstancu-disk": 
 
 
 def _kind(kind: str) -> str:
-    """The operator kind an accepted name stands for."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    return _KINDS[kind]
+    """The operator kind an accepted name stands for; ValueError for
+    anything else, an unhashable value too."""
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown operator kind {kind!r}") from None
 
 
 def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence[int],
@@ -439,7 +437,8 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
     call, and the node tables are sampled here; Cbar and Bbar sweep several
     degrees at once (_sweeps)."""
     kind, degrees = _kind(kind), sorted({_degree(n) for n in ns})
-    pts, threads = _checked_points(pts), _threads(threads)
+    pts = _checked_points(pts)
+    threads = None if threads is None else _degree(threads, name="threads")
     if len(pts) == 0 or not degrees:
         return np.zeros((len(ns), len(pts)))
     if kind == "Bstancu":
@@ -483,7 +482,6 @@ class RmseReport:
     function_id: str
     operator_id: str
     entries: tuple[tuple[int, float], ...]
-    mesh_sizes: tuple[tuple[int, int], ...]
 
 
 # Values per _exact_sum block: each half-mantissa bucket sum stays below
@@ -518,9 +516,9 @@ def _exact_sum(values: np.ndarray) -> float:
 def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
                        mesh: MeshSpec, threads: int | None) -> float:
     """Exactly rounded sum (_exact_sum) of (f - op f)^2 over the mesh
-    points: the operator first, whose call checks the points before f is
+    points: the operator call first, which checks the points before f is
     called, then f at them."""
-    sq = _operator_values(op.kind, f, (op.n,), mesh.points, threads)[0]
+    sq = op(f, mesh.points, threads=threads)
     np.subtract(_sample_points(f, mesh.points), sq, out=sq)  # in place: (z - zhat) ** 2's bits
     sq *= sq
     return _exact_sum(sq)
@@ -540,9 +538,10 @@ def rmse(
     """
     if denominator not in ("nominal", "actual"):
         raise ValueError(f"unknown denominator {denominator!r}; use 'nominal' or 'actual'")
-    total = _squared_error_sum(f, op, mesh, threads)
     denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
-    return math.sqrt(total / denom)
+    if denom == 0:
+        raise ValueError(f"the {denominator} mesh size is 0")
+    return math.sqrt(_squared_error_sum(f, op, mesh, threads) / denom)
 
 
 def _cells(example_id: int, n_list: Sequence[int],
@@ -565,12 +564,10 @@ def run_example(
     """RMSE of the piecewise quadrant operator and the chord-mesh disk
     operator for one built-in function over the published meshes.
     """
-    rows, sizes = {"Cbar": [], "Bstancu": []}, {"Cbar": [], "Bstancu": []}
+    rows = {"Cbar": [], "Bstancu": []}
     for n, kind, mesh, total in _cells(example_id, n_list, threads):
         rows[kind].append((n, math.sqrt(total / mesh.nominal_size)))
-        sizes[kind].append((n, len(mesh.points)))
-    fid = f"example{example_id}"
-    return tuple(RmseReport(fid, kind, tuple(rows[kind]), tuple(sizes[kind])) for kind in rows)
+    return tuple(RmseReport(f"example{example_id}", kind, tuple(rows[kind])) for kind in rows)
 
 
 # Reference RMSE values for the built-in examples over the default degrees,

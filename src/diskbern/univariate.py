@@ -36,7 +36,12 @@ __all__ = [
     "validate_transform",
 ]
 
+# Fixed tolerances: an interval or a quadrant holds a point up to _EPS
+# outside it, the unit disk and a curvilinear domain up to _SLACK; a
+# transform and a domain are checked on _GRID points.
 _EPS = 1e-12
+_SLACK = 1e-9
+_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,8 @@ class Interval:
     def width(self) -> float:
         return self.beta - self.alpha
 
-    def contains(self, x: float, tol: float = _EPS) -> bool:
-        return self.alpha - tol <= x <= self.beta + tol
+    def contains(self, x: float) -> bool:
+        return self.alpha - _EPS <= x <= self.beta + _EPS
 
     def to_unit(self, x) -> float:
         """Affine map of the interval onto [0, 1]."""
@@ -324,8 +329,8 @@ class Transform1D:
     domain: Interval = UNIT_INTERVAL
     _diagnostics: TransformDiagnostics | None = field(default=None, repr=False)
 
-    def validate(self, grid_size: int = 1024) -> TransformDiagnostics:
-        diag = validate_transform(self, self.domain, grid_size)
+    def validate(self) -> TransformDiagnostics:
+        diag = validate_transform(self, self.domain)
         self._diagnostics = diag
         return diag
 
@@ -340,11 +345,9 @@ def identity_transform(iv: Interval = UNIT_INTERVAL) -> Transform1D:
     return Transform1D(lambda x: x, lambda x: x, iv)
 
 
-def validate_transform(tau: Transform1D, iv: Interval, grid_size: int = 1024) -> TransformDiagnostics:
-    """Check endpoint fixing, monotonicity, and inverse round-trip on a grid."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    xs = np.linspace(iv.alpha, iv.beta, grid_size)
+def validate_transform(tau: Transform1D, iv: Interval) -> TransformDiagnostics:
+    """Check endpoint fixing, monotonicity, and inverse round-trip on _GRID points."""
+    xs = np.linspace(iv.alpha, iv.beta, _GRID)
     fx = np.array([tau.forward(x) for x in xs])
     residuals = (float(fx[0] - iv.alpha), float(fx[-1] - iv.beta))
     min_diff = float(np.min(np.diff(fx)))

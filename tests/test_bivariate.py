@@ -158,7 +158,7 @@ class TestNodes:
         dom = wavy_domain()
         nodes = stancu_nodes(dom, 8, NodeSchedule.constant(6))
         for x, y in nodes.points():
-            assert dom.contains(float(x), float(y), tol=1e-9)
+            assert dom.contains(float(x), float(y))
 
     def test_lift_roundtrip(self):
         dom = wavy_domain()

@@ -32,6 +32,18 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             ex.builtin(9)
 
+    def test_numpy_integer_id(self):
+        assert ex.builtin(np.int64(1)) is ex.builtin(np.int32(1)) is ex.BUILTINS["example1"]
+
+    @pytest.mark.parametrize("bad", [[1], 1.0], ids=repr)
+    def test_an_id_that_is_no_integer_or_name(self, bad):
+        with pytest.raises(ValueError, match="unknown built-in function"):
+            ex.builtin(bad)
+
+    def test_two_numbers_give_a_number(self):
+        for e in (1, 2, 4):
+            assert type(ex.builtin(e)(0.1, 0.2)) is np.float64
+
     def test_step_function_values(self):
         eta = ex.builtin(4)
         assert eta(0.0, 0.0) == 1.0

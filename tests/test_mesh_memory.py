@@ -34,7 +34,7 @@ def test_mesh_keeps_little_more_than_its_points(build):
 
 def test_labels_are_rebuilt_from_kind_n_and_dedup():
     mesh = ex.mesh_quadrant_disk(3, dedup=True)
-    assert mesh.labels == ex.MeshSpec("quadrant", 3, True, np.empty((0, 2)), 0).labels
+    assert mesh.labels == ex.MeshSpec("quadrant", 3, True, np.empty((0, 2))).labels
     assert mesh.labels[:2] == (("B1", 0, 0), ("B1", 0, 1))
     assert len(mesh.labels) == len(mesh.points) == 2 * 3 * 4 + 1
     assert ex.mesh_stancu_disk(2).labels == tuple((k, j) for k in range(3) for j in range(3))

@@ -5,42 +5,13 @@ map plus one call of it. A scalar operator that sums or reads the memo on
 its own fails here; call _scalar_values instead.
 """
 
-import ast
-from pathlib import Path
-
-import diskbern
-
-SRC = Path(diskbern.__file__).parent
+from name_users import users
 
 GUARDED = {"_nested_sum", "_node_table"}
 
 
-def _name(node):
-    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-
-
-def users(src=SRC):
-    """module.qualname of each function that names a guarded function (a call,
-    or a reference passed on), mapped to the names it uses; a lambda counts
-    as the function it is in."""
-    found = {}
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{prefix}.{child.name}")
-                continue
-            if isinstance(child, (ast.Name, ast.Attribute)) and _name(child) in GUARDED:
-                found.setdefault(prefix, set()).add(_name(child))
-            visit(child, prefix)
-
-    for path in sorted(Path(src).glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path.stem)
-    return found
-
-
 def test_only_the_evaluator_sums_and_reads_the_memo():
-    assert users() == {"bivariate._scalar_values": GUARDED}
+    assert users(GUARDED) == {"bivariate._scalar_values": GUARDED}
 
 
 def test_a_bypass_is_found(tmp_path):
@@ -58,6 +29,7 @@ def test_a_bypass_is_found(tmp_path):
         "    return inner\n\n"
         "def _nested_sum_free(x):\n"
         "    return x\n")
-    assert users(tmp_path) == {"extra.summed": {"_nested_sum"}, "extra.memo": {"_node_table"},
-                               "extra.passed_on": {"_nested_sum"},
-                               "extra.nested.inner": {"_node_table"}}
+    assert users(GUARDED, tmp_path) == {"extra.summed": {"_nested_sum"},
+                                        "extra.memo": {"_node_table"},
+                                        "extra.passed_on": {"_nested_sum"},
+                                        "extra.nested.inner": {"_node_table"}}

@@ -8,47 +8,20 @@ are built once per call. A caller that checks or groups on its own fails
 here; call _operator_values instead.
 """
 
-import ast
 import inspect
 import math
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-import diskbern
 from diskbern import experiments as ex
-
-SRC = Path(diskbern.__file__).parent
+from name_users import users
 
 GUARDED = {"_checked_points", "_groups", "_chord_disk_batch", "_piecewise_disk_batch"}
 
 
-def _name(node):
-    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-
-
-def users(src=SRC):
-    """module.qualname of each function that names a guarded function (a call,
-    or a reference passed on), mapped to the names it uses; a lambda counts
-    as the function it is in."""
-    found = {}
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{prefix}.{child.name}")
-                continue
-            if isinstance(child, (ast.Name, ast.Attribute)) and _name(child) in GUARDED:
-                found.setdefault(prefix, set()).add(_name(child))
-            visit(child, prefix)
-
-    for path in sorted(Path(src).glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path.stem)
-    return found
-
-
 def test_only_the_front_door_checks_groups_and_calls_the_kernels():
-    assert users() == {"experiments._operator_values": GUARDED}
+    assert users(GUARDED) == {"experiments._operator_values": GUARDED}
 
 
 def test_the_kernels_take_no_f_and_no_points():
@@ -71,7 +44,7 @@ def test_a_bypass_is_found(tmp_path):
         "    return inner\n\n"
         "def _groups_free(x):\n"
         "    return x\n")
-    assert users(tmp_path) == {"extra.checked": {"_checked_points"},
+    assert users(GUARDED, tmp_path) == {"extra.checked": {"_checked_points"},
                                "extra.grouped": {"_groups"},
                                "extra.passed_on": {"_chord_disk_batch"},
                                "extra.nested.inner": {"_piecewise_disk_batch"}}
@@ -101,8 +74,13 @@ class Recording:
     (lambda f: ex.DiskOperator("Cbar", 2.5)(f, []), "n must be an integer"),
     (lambda f: ex.DiskOperator("Bstancu", 0)(f, [(0.1, 0.2)]), "n must be >= 1"),
     (lambda f: ex.cross_section("Bstancu-disk", f, [], threads=0), "threads must be >= 1"),
+    (lambda f: ex.DiskOperator(["Cbar"], 3)(f, []), r"unknown operator kind \['Cbar'\]"),
+    (lambda f: ex.disk_operator(["Cbar"], 3), r"unknown operator kind \['Cbar'\]"),
+    (lambda f: ex.rmse(f, ex.DiskOperator("Cbar", 3), ex.MeshSpec("quadrant", 3, True, np.empty((0, 2))),
+                       denominator="actual"), "the actual mesh size is 0"),
 ], ids=["nan-endpoint", "inf-endpoint", "outside-endpoint", "section-kind", "operator-kind",
-        "degree-no-points", "degree-zero", "threads-no-degrees"])
+        "degree-no-points", "degree-zero", "threads-no-degrees", "unhashable-kind",
+        "unhashable-kind-disk-operator", "rmse-no-points"])
 def test_bad_input_raises_before_f_is_called(call, message):
     f = Recording()
     with pytest.raises(ValueError, match=message):

@@ -22,7 +22,6 @@ from diskbern.univariate import (
     c_tau,
     c_tau_shifted,
     identity_transform,
-    validate_transform,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -242,10 +241,6 @@ class TestTransforms:
     def test_wrong_inverse_detected(self):
         bad = Transform1D(lambda x: x * x, lambda x: x)
         assert not bad.validate().passed
-
-    def test_validate_grid_size_error(self):
-        with pytest.raises(ValueError):
-            validate_transform(identity_transform(), UNIT_INTERVAL, grid_size=1)
 
 
 class TestCTau:
