@@ -311,15 +311,15 @@ def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarr
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, counts: np.ndarray,
-                   nodes: Callable, s: Sequence[float], t: Sequence[float]) -> list[float]:
-    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at each (s, t) of s and t,
-    n = len(counts) - 1: the one evaluator of the scalar operators. F is
-    the node table _node_values(f, counts, nodes) read through _node_table
-    under (f, *key). The outer rows come first, so an s outside [0, 1]
+                   nodes: Callable, s: float, t: float) -> float:
+    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t), n =
+    len(counts) - 1: the one evaluator of the scalar operators. F is the
+    node table _node_values(f, counts, nodes) read through _node_table
+    under (f, *key). The outer row comes first, so an s outside [0, 1]
     raises before f is called."""
-    outer = [basis_row(len(counts) - 1, v) for v in s]
+    outer = basis_row(len(counts) - 1, s)
     table = _node_table((f, *key), lambda: _node_values(f, counts, nodes))
-    return [_nested_sum(row, v, counts, table) for row, v in zip(outer, t)]
+    return _nested_sum(outer, t, counts, table)
 
 
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,7 +360,7 @@ def stancu(
         raise ValueError(f"point ({x}, {y}) outside the domain")
     x = min(max(x, dom.a), dom.b)
     return _scalar_values(f, ("stancu", n, sched, dom), counts, _row_nodes(dom, n),
-                          [dom.x_interval.to_unit(x)], [_inner_t(dom, x, y)])[0]
+                          dom.x_interval.to_unit(x), _inner_t(dom, x, y))
 
 
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:

@@ -67,11 +67,30 @@ def _quadrant_index(x, y):
     return (y < 0) * (2 + (x > 0)) + (y >= 0) * (x < 0)
 
 
+# Each (x, y) -> (u, t) map and disk check has an array twin; tests/test_one_home.py pins the pairs.
 def check_disk_point(x: float, y: float):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point ({x}, {y}) is not finite")
     if x * x + y * y > 1.0 + _SLACK:
         raise ValueError(f"point ({x}, {y}) outside the unit disk")
+
+
+def _checked_points(pts) -> np.ndarray:
+    """pts as an (m, 2) float array; ValueError unless every point is finite
+    and inside the closed unit disk (with slack)."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
+        pts = pts.reshape(-1, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"mesh point index {bad} is not finite")
+    with np.errstate(over="ignore"):  # a square above the float range is inf: outside
+        outside = pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK
+    if outside.any():
+        raise ValueError(f"mesh point index {int(outside.argmax())} outside the unit disk")
+    return pts
 
 
 def square_bernstein(
@@ -86,7 +105,7 @@ def square_bernstein(
         raise ValueError(f"point ({x}, {y}) outside [-1, 1]^2")
     s, t = ((min(max(v, -1.0), 1.0) + 1.0) / 2.0 for v in (x, y))
     return _scalar_values(f, ("square", n, sched), sched.counts(n),
-                          lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk), [s], [t])[0]
+                          lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk), s, t)
 
 
 def simplex_bernstein(
@@ -109,7 +128,7 @@ def simplex_bernstein(
     t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
     return _scalar_values(f, ("simplex", n, sched), sched.counts(n),
                           lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
-                          [min(x, 1.0)], [min(max(t, 0.0), 1.0)])[0]
+                          min(x, 1.0), min(max(t, 0.0), 1.0))
 
 
 def ball_stancu(
@@ -127,13 +146,30 @@ def ball_stancu(
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
     return _scalar_values(f, ("ball", n, sched), sched.counts(n), _chord_nodes(n),
-                          [(min(max(x, -1.0), 1.0) + 1.0) / 2.0], [min(max(t, 0.0), 1.0)])[0]
+                          (min(max(x, -1.0), 1.0) + 1.0) / 2.0, min(max(t, 0.0), 1.0))
 
 
 def _chord_nodes(n: int) -> Callable:
     """The node map (k, j, n_k) -> ((2k - n)/n, (2j - n_k)/n_k * 2 sqrt(k(n - k))/n)
     of ball_stancu at degree n: node j of chord k, of n_k + 1."""
     return lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk * (2.0 * np.sqrt(k * (n - k)) / n))
+
+
+def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed coordinates u = (x+1)/2, t = (y/sqrt(1-x^2)+1)/2 of the
+    chord-disk operator; t = 1/2 where the chord has no height. u and t are
+    finished in place, so at most three point-sized float arrays coexist."""
+    u = np.clip(pts[:, 0], -1.0, 1.0)
+    t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))  # the chord's half-width
+    flat = t <= _EPS
+    t[flat] = 1.0
+    np.divide(pts[:, 1], t, out=t)
+    t += 1.0
+    t /= 2.0
+    t[flat] = 0.5
+    u += 1.0
+    u /= 2.0
+    return u, np.clip(t, 0.0, 1.0, out=t)
 
 
 def _node_roots(n: int) -> np.ndarray:
@@ -157,16 +193,28 @@ def _quadrant_nodes(n: int, q: Quadrant) -> Callable:
     return nodes
 
 
-def _quadrant_values(f: Callable[[float, float], float], q: Quadrant, n: int,
-                     points: list[tuple[float, float]]) -> list[float]:
-    """The quadrant closed form of f in q at each (x, y) of points: the nested
-    sum at (u, t) = (x^2, y^2/(1 - x^2)) with the n-minus-k schedule. n is
-    checked before the lookup, so n = 3.0 cannot read the table of n = 3."""
+def _quadrant_value(f: Callable[[float, float], float], q: Quadrant, n: int,
+                    x: float, y: float) -> float:
+    """The quadrant closed form of f in q at (x, y): the nested sum at
+    (u, t) = (x^2, y^2/(1 - x^2)) with the n-minus-k schedule. n is checked
+    before the lookup, so n = 3.0 cannot read the table of n = 3."""
     n = _degree(n)
-    u = [min(x * x, 1.0) for x, _ in points]
-    t = [min(max(y * y / (1.0 - v), 0.0), 1.0) if 1.0 - v > _EPS else 0.0
-         for v, (_, y) in zip(u, points)]
+    u = min(x * x, 1.0)
+    t = min(max(y * y / (1.0 - u), 0.0), 1.0) if 1.0 - u > _EPS else 0.0
     return _scalar_values(f, ("quadrant", n, q), n - np.arange(n + 1), _quadrant_nodes(n, q), u, t)
+
+
+def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapsed coordinates u = x^2, t = y^2/(1-x^2) of the quadrant
+    operator (t = 0 where 1 - x^2 <= _EPS), and each point's quadrant as an
+    index into _QUADRANTS by _quadrant_index, as the scalar operators take it."""
+    x = pts[:, 0]
+    y = pts[:, 1]
+    u = np.clip(x * x, 0.0, 1.0)
+    rest = 1.0 - u
+    t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    return u, t, _quadrant_index(x, y)
 
 
 def quadrant_stancu(
@@ -178,7 +226,7 @@ def quadrant_stancu(
     check_disk_point(x, y)
     if not q.contains(x, y):
         raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
-    return _quadrant_values(f, q, n, [(x, y)])[0]
+    return _quadrant_value(f, q, n, x, y)
 
 
 # The quadrant operator built from per-quadrant monotone transforms of the
@@ -187,22 +235,16 @@ def quadrant_stancu(
 quadrant_bernstein_type = quadrant_stancu
 
 
-def _shifted_row(n: int, value: float, lo: float, hi: float) -> np.ndarray:
-    width = hi - lo
-    if width <= _EPS:
-        row = np.zeros(n + 1)
-        row[0] = 1.0
-        return row
-    return basis_row(n, min(max((value - lo) / width, 0.0), 1.0))
-
-
 def quadrant_bernstein_type_via_transforms(
     f: Callable[[float, float], float], q: Quadrant, n: int, x: float, y: float
 ) -> float:
     """Transform-path evaluation of the quadrant operator: shifted bases
     evaluated at tau(x) and sigma_x(y) with the quadrant-specific choices.
-    Independent of the closed-form path; used as its oracle.
+    Independent of the closed-form path; used as its oracle. Its chord
+    [lo, hi] has no width only where |x| >= 1, and there the one row with
+    weight has n_k = 0.
     """
+    n = _degree(n)
     check_disk_point(x, y)
     if not q.contains(x, y):
         raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
@@ -241,7 +283,8 @@ def quadrant_bernstein_type_via_transforms(
             total += px[k] * lifted(k / n, 0.0)
             continue
         fvals = np.array([lifted(k / n, j / nk) for j in range(nk + 1)])
-        total += px[k] * float(_shifted_row(nk, sigma_y, lo, hi) @ fvals)
+        py = basis_row(nk, min(max((sigma_y - lo) / (hi - lo), 0.0), 1.0))
+        total += px[k] * float(py @ fvals)
     return total
 
 
@@ -250,7 +293,7 @@ def piecewise_stancu_disk(f: Callable[[float, float], float], n: int, x: float, 
     adjacent quadrants, ties broken toward B1 > B2 > B3 > B4.
     """
     check_disk_point(x, y)
-    return _quadrant_values(f, _QUADRANTS[_quadrant_index(x, y)], n, [(x, y)])[0]
+    return _quadrant_value(f, _QUADRANTS[_quadrant_index(x, y)], n, x, y)
 
 
 piecewise_bernstein_type_disk = piecewise_stancu_disk
@@ -277,14 +320,14 @@ def axis_continuity_check(
     """
     samples = _degree(samples, name="samples")
     if which not in ("stancu", "bernstein-type"):
-        raise KeyError(which)
-    # Both constructions evaluate the same closed form: each quadrant's, in
-    # order, at the points of its half of the x axis, then of the y axis.
+        raise ValueError(f"unknown construction {which!r}")
+    # Both constructions evaluate the same closed form: each half-axis's two
+    # quadrants at its points.
     r = np.linspace(0.0, 1.0, samples + 1).tolist()
-    values = {q: _quadrant_values(f, q, n, [(q.sx * v, 0.0) for v in r] + [(0.0, q.sy * v) for v in r])
-              for q in Quadrant}
     worst = 0.0
     for axis, (qa, qb) in _ADJACENT.items():
-        half = slice(None, len(r)) if axis.startswith("x") else slice(len(r), None)
-        worst = max([worst] + [abs(a - b) for a, b in zip(values[qa][half], values[qb][half])])
+        for v in r:
+            x, y = (qa.sx * v, 0.0) if axis.startswith("x") else (0.0, qa.sy * v)
+            worst = max(worst, abs(_quadrant_value(f, qa, n, x, y)
+                                   - _quadrant_value(f, qb, n, x, y)))
     return worst

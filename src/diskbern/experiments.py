@@ -8,7 +8,6 @@ identical for any thread count.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,9 +17,9 @@ import numpy as np
 
 from . import _blas
 from .bivariate import _node_values, _sample_points, vectorized
-from .disk import (_QUADRANTS, Quadrant, _chord_nodes, _node_roots, _quadrant_index,
-                   quadrant_node_table)
-from .univariate import _EPS, _SLACK, _degree, _degree_rows, basis_rows
+from .disk import (_QUADRANTS, Quadrant, _checked_points, _chord_coordinates, _chord_nodes,
+                   _node_roots, _quadrant_coordinates, quadrant_node_table)
+from .univariate import _degree, _degree_rows, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -85,12 +84,12 @@ BUILTINS: dict[str, Callable[[float, float], float]] = {
 
 
 def builtin(example_id: int | str) -> Callable[[float, float], float]:
-    """Built-in function by numeric id (1..4, any integer type) or name
-    ("example1".."4"); ValueError for anything else."""
+    """Built-in function by numeric id (1..4, any integer type but bool) or
+    name ("example1".."4"); ValueError for anything else."""
     try:
         return BUILTINS[example_id if isinstance(example_id, str)
-                        else f"example{operator.index(example_id)}"]
-    except (KeyError, TypeError):  # TypeError: neither a string nor an integer
+                        else f"example{_degree(example_id)}"]
+    except (KeyError, ValueError):  # ValueError: neither a string nor an integer >= 1
         raise ValueError(f"unknown built-in function {example_id!r}") from None
 
 
@@ -117,12 +116,20 @@ def _quadrant_indices(n: int, q: Quadrant, dedup: bool) -> tuple[np.ndarray, np.
 @dataclass(frozen=True)
 class MeshSpec:
     """A disk mesh: its point coordinates and the (kind, n, dedup) that
-    generate them."""
+    generate them. The fields are checked on construction; the points are
+    the caller's, and rmse checks them before f is called."""
 
     kind: str
     n: int
     dedup: bool
     points: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in ("stancu", "quadrant"):
+            raise ValueError(f"unknown mesh kind {self.kind!r}")
+        object.__setattr__(self, "n", _degree(self.n))
+        if not isinstance(self.dedup, bool) or self.dedup and self.kind == "stancu":
+            raise ValueError(f"dedup must be a bool, False for the chord mesh, got {self.dedup!r}")
 
     @property
     def nominal_size(self) -> int:
@@ -296,23 +303,6 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
     return out
 
 
-def _chord_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed coordinates u = (x+1)/2, t = (y/sqrt(1-x^2)+1)/2 of the
-    chord-disk operator; t = 1/2 where the chord has no height. u and t are
-    finished in place, so at most three point-sized float arrays coexist."""
-    u = np.clip(pts[:, 0], -1.0, 1.0)
-    t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))  # the chord's half-width
-    flat = t <= _EPS
-    t[flat] = 1.0
-    np.divide(pts[:, 1], t, out=t)
-    t += 1.0
-    t /= 2.0
-    t[flat] = 0.5
-    u += 1.0
-    u /= 2.0
-    return u, np.clip(t, 0.0, 1.0, out=t)
-
-
 def _chord_disk_batch(n: int, table: np.ndarray, groups: list[_Group], size: int,
                       threads: int | None) -> np.ndarray:
     """Disk Bernstein-Stancu values (constant schedule n_k = n) from its
@@ -328,19 +318,6 @@ def _chord_disk_batch(n: int, table: np.ndarray, groups: list[_Group], size: int
         return values
 
     return _evaluate_groups(evaluate, groups, size, threads)
-
-
-def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapsed coordinates u = x^2, t = y^2/(1-x^2) of the quadrant
-    operator (t = 0 where 1 - x^2 <= _EPS), and each point's quadrant as an
-    index into _QUADRANTS by _quadrant_index, as the scalar operators take it."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    u = np.clip(x * x, 0.0, 1.0)
-    rest = 1.0 - u
-    t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return u, t, _quadrant_index(x, y)
 
 
 def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.ndarray | None]],
@@ -396,24 +373,6 @@ def _sweeps(degrees: Sequence[int]) -> list[list[int]]:
         sweeps[-1].insert(0, n)
         held += (n + 1) ** 2
     return sweeps
-
-
-def _checked_points(pts) -> np.ndarray:
-    """pts as an (m, 2) float array; ValueError unless every point is finite
-    and inside the closed unit disk (with slack)."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
-        pts = pts.reshape(-1, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
-        raise ValueError(f"mesh point index {bad} is not finite")
-    with np.errstate(over="ignore"):  # a square above the float range is inf: outside
-        outside = pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1.0 + _SLACK
-    if outside.any():
-        raise ValueError(f"mesh point index {int(outside.argmax())} outside the unit disk")
-    return pts
 
 
 _KINDS = {"Cbar": "Cbar", "Bbar": "Bbar", "Bstancu": "Bstancu", "Bstancu-disk": "Bstancu"}
@@ -630,8 +589,13 @@ def reference_report(
 
     Both denominator conventions are reported for every cell so that a
     disagreement under the nominal convention can be cross-checked against
-    the alternative one.
+    the alternative one. An example or n without a reference value raises
+    ValueError before any cell is computed.
     """
+    builtin(example_id)  # an unknown example raises as in run_example
+    missing = [n for n in n_list if _degree(n) not in REFERENCE_RMSE.get(example_id, {})]
+    if missing:
+        raise ValueError(f"no reference RMSE for example {example_id!r} at n = {missing}")
     return [ReferenceCell(example_id, kind, n,
                           math.sqrt(total / mesh.nominal_size),
                           math.sqrt(total / len(mesh.points)),

@@ -76,12 +76,14 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 
 
 def _degree(n, least: int = 1, name: str = "n") -> int:
-    """n as an int; ValueError unless it is an integer >= least. A count
-    such as samples takes the same rule under its own name."""
+    """n as an int; ValueError unless it is an integer >= least, and not a
+    bool. A count such as samples takes the same rule under its own name."""
     try:
         value = operator.index(n)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+        value = None
+    if value is None or isinstance(n, bool):  # operator.index(True) is 1
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}" if least else "degree must be non-negative")
     return value

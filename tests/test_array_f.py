@@ -288,7 +288,7 @@ def test_declared_sampling_memory_is_bounded():
     assert peak <= 1.5 * table.nbytes
 
 
-@pytest.mark.parametrize("m", [3.5, "3", 0, None, -2])
+@pytest.mark.parametrize("m", [3.5, "3", 0, None, -2, True])
 def test_constant_schedule_needs_an_integer_m(m):
     with pytest.raises(ValueError, match="^m must be (an integer, got|>= 1)"):
         NodeSchedule.constant(m)

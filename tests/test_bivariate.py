@@ -126,6 +126,12 @@ class TestStancuBasics:
     def test_outside_domain_raises(self):
         with pytest.raises(ValueError):
             stancu(lambda a, b: 1.0, UNIT_SQUARE, 3, NodeSchedule.constant(3), 1.5, 0.5)
+        sched = NodeSchedule.n_minus_k()
+        for x, y in ((1.5, 0.5), (0.5, -0.1)):
+            with pytest.raises(ValueError, match="outside the domain"):
+                stancu_determinant(lambda a, b: 1.0, UNIT_SQUARE, 3, sched, x, y)
+            with pytest.raises(ValueError, match="outside the domain"):
+                monomial_image("x2", UNIT_SQUARE, 3, sched, x, y)
 
     def test_bad_degree(self):
         with pytest.raises(ValueError):

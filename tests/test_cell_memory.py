@@ -373,7 +373,7 @@ def test_reference_report_matches_rmse(example):
 # ---------------------------------------------------------------------------
 # nonsense thread counts and degrees
 
-BAD_THREADS = [0, -3, 1.5, "2"]
+BAD_THREADS = [0, -3, 1.5, "2", True]
 
 
 class Recording:

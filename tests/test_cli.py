@@ -233,6 +233,38 @@ class TestCounts:
         assert "--samples" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--threads", "--samples"])
+    @pytest.mark.parametrize("count", ["2.5", "x", ""])
+    def test_count_that_is_no_integer_exits_2(self, option, count, tmp_path, capsys):
+        out = tmp_path / "section.csv"
+        argv = ["section", "--op", "Cbar", "--fn", "example1", "--n", "3", "--out", str(out)]
+        code, _, err = run([f"{option}={count}"] + argv if option == "--threads"
+                           else argv + [f"{option}={count}"], capsys)
+        assert code == 2
+        assert f"{option}: bad count {count!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["section", "--op", "Cbar", "--fn", "example1"],
+                                         ["table", "--example", "1"]], ids=["section", "table"])
+    @pytest.mark.parametrize("n_list, message", [
+        ("1,x", "bad n list '1,x'"), ("2.5", "bad n list '2.5'"),
+        (",", "n values must be positive"), ("0,10", "n values must be positive"),
+        ("10,-3", "n values must be positive"),
+    ])
+    def test_bad_n_list_exits_2(self, command, n_list, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run(command + [f"--n={n_list}", "--out", str(out)], capsys)
+        assert code == 2
+        assert "--n" in err and message in err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "mesh.csv"
+        code, _, err = run(["mesh", "--kind", "stancu", "--n", "2", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "missing" in err
+        assert not out.exists()
+
 
 class TestSection:
     def test_section_csv(self, tmp_path, capsys):

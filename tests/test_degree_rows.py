@@ -13,7 +13,7 @@ import pytest
 
 from diskbern import experiments as ex
 from diskbern.disk import quadrant_node_table
-from diskbern.univariate import _degree_rows, basis_rows
+from diskbern.univariate import _EPS, _degree_rows, basis_rows
 
 EDGES = [0.0, 1.0, 1e-300, 5e-13, -5e-13, 1.0 - 5e-13, 1.0 + 5e-13, 0.5, 1e-17, 1.0 - 1e-16]
 
@@ -42,6 +42,13 @@ def test_degree_rows_bit_equal_to_basis_rows(n, name):
         assert rows.tobytes() == expected.tobytes()
         degrees.append(m)
     assert degrees == list(range(n, -1, -1))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, 1.0 + 1e-11, -1e-11])
+def test_arguments_outside_the_unit_interval_raise(bad):
+    for xs in (np.array([0.5, bad]), np.array([bad])):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            basis_rows(3, xs)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -79,7 +86,7 @@ def per_k_piecewise_batch(f, n, pts, threads=None):
     x, y = pts[:, 0], pts[:, 1]
     u = np.clip(x * x, 0.0, 1.0)
     rest = 1.0 - u
-    t = np.where(rest > ex._EPS, (y * y) / np.where(rest > ex._EPS, rest, 1.0), 0.0)
+    t = np.where(rest > _EPS, (y * y) / np.where(rest > _EPS, rest, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
     quad = np.full(len(pts), 3)
     quad[(x <= 0) & (y < 0)] = 2

@@ -262,6 +262,30 @@ class TestQuadrantOperators:
     def test_wrong_quadrant_raises(self):
         with pytest.raises(ValueError):
             quadrant_stancu(lambda a, b: 1.0, Quadrant.B1, 3, -0.5, 0.5)
+        with pytest.raises(ValueError, match="not in quadrant B1"):
+            quadrant_bernstein_type_via_transforms(lambda a, b: 1.0, Quadrant.B1, 3, -0.5, 0.5)
+
+    def test_quadrant_holds_no_point_outside_the_disk(self):
+        for q in Quadrant:
+            assert q.contains(q.sx * 0.6, q.sy * 0.8)
+            assert not q.contains(q.sx * 0.8, q.sy * 0.8)
+            assert not q.contains(q.sx * (1.0 + 1e-8), 0.0)
+
+    @pytest.mark.parametrize("x", [1.0, -1.0, 1.0 + 1e-10, -1.0 - 1e-10])
+    def test_transform_path_on_the_rim(self, x):
+        # the chord at x has no width, and the one weighted row has n_k = 0:
+        # both paths give the limit f(sign(x), 0) exactly
+        f = SMOOTH_FUNCTIONS[2]
+        for q in Quadrant:
+            for y in (0.0, -0.0):
+                if q.contains(x, y):
+                    value = quadrant_bernstein_type_via_transforms(f, q, 7, x, y)
+                    assert value == quadrant_stancu(f, q, 7, x, y) == f(math.copysign(1.0, x), 0.0)
+
+    @pytest.mark.parametrize("n, message", [(0, "n must be >= 1"), (2.5, "n must be an integer")])
+    def test_transform_path_rejects_a_bad_degree(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            quadrant_bernstein_type_via_transforms(lambda a, b: 1.0, Quadrant.B2, n, -0.5, 0.5)
 
 
 class TestPiecewise:
@@ -283,10 +307,14 @@ class TestPiecewise:
             for f in (SMOOTH_FUNCTIONS[2], step):
                 assert axis_continuity_check(which, f, 20, samples=16) <= 1e-10
 
-    @pytest.mark.parametrize("samples", [0, -4, 2.5, "3"])
+    @pytest.mark.parametrize("samples", [0, -4, 2.5, "3", True])
     def test_axis_check_rejects_bad_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
             axis_continuity_check("stancu", SMOOTH_FUNCTIONS[2], 5, samples=samples)
+
+    def test_axis_check_rejects_an_unknown_construction(self):
+        with pytest.raises(ValueError, match="unknown construction 'nope'"):
+            axis_continuity_check("nope", SMOOTH_FUNCTIONS[2], 3)
 
     def test_outside_disk_raises(self):
         with pytest.raises(ValueError):

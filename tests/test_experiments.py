@@ -35,7 +35,7 @@ class TestBuiltins:
     def test_numpy_integer_id(self):
         assert ex.builtin(np.int64(1)) is ex.builtin(np.int32(1)) is ex.BUILTINS["example1"]
 
-    @pytest.mark.parametrize("bad", [[1], 1.0], ids=repr)
+    @pytest.mark.parametrize("bad", [[1], 1.0, True, 0], ids=repr)
     def test_an_id_that_is_no_integer_or_name(self, bad):
         with pytest.raises(ValueError, match="unknown built-in function"):
             ex.builtin(bad)
@@ -92,6 +92,27 @@ class TestMeshes:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             ex.mesh_stancu_disk(0)
+
+    @pytest.mark.parametrize("kind, n, dedup, message", [
+        ("nope", 3, True, "unknown mesh kind 'nope'"),
+        (["quadrant"], 3, True, r"unknown mesh kind \['quadrant'\]"),
+        ("quadrant", 2.5, True, "n must be an integer, got 2.5"),
+        ("quadrant", 0, True, "n must be >= 1"),
+        ("stancu", True, False, "n must be an integer, got True"),
+        ("quadrant", 3, 1, "dedup must be a bool"),
+        ("quadrant", 3, None, "dedup must be a bool"),
+        ("stancu", 3, True, "False for the chord mesh"),
+    ], ids=["kind", "unhashable-kind", "float-n", "zero-n", "bool-n", "int-dedup", "none-dedup",
+            "chord-dedup"])
+    def test_mesh_spec_checks_its_fields(self, kind, n, dedup, message):
+        with pytest.raises(ValueError, match=message):
+            ex.MeshSpec(kind, n, dedup, np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ex.mesh_quadrant_disk(3), kind=kind, n=n, dedup=dedup)
+
+    def test_mesh_spec_stores_n_as_an_int(self):
+        mesh = ex.MeshSpec("quadrant", np.int64(3), False, np.array([[0.5, 0.5]]))
+        assert type(mesh.n) is int and mesh.nominal_size == 24
 
 
 class TestBatchEvaluation:
@@ -227,6 +248,19 @@ class TestRmse:
             ex.rmse(f, ex.disk_operator(kind, 20), dataclasses.replace(mesh, points=points))
         assert calls == []
 
+    @pytest.mark.parametrize("example, n_list, message", [
+        (1, [15], r"example 1 at n = \[15\]"),
+        (1, [10, 15, 20, 90], r"example 1 at n = \[15, 90\]"),
+        ("example1", [10], "example 'example1' at n = \\[10\\]"),
+        (5, [10], "unknown built-in function 5"),
+        (1, [10.0], "n must be an integer"),
+    ], ids=["one-n", "two-n", "named-example", "unknown-example", "float-n"])
+    def test_reference_report_checks_every_cell_before_any_work(self, example, n_list, message,
+                                                                monkeypatch):
+        monkeypatch.setattr(ex, "_cells", lambda *a: pytest.fail("a cell was computed"))
+        with pytest.raises(ValueError, match=message):
+            ex.reference_report(example, n_list)
+
     def test_reference_report_structure(self):
         cells = ex.reference_report(1, n_list=[10])
         assert len(cells) == 2
@@ -250,7 +284,7 @@ class TestCrossSection:
         with pytest.raises(ValueError):
             ex.cross_section("Cbar", ex.builtin(1), [4], segment=((0, 0), (0, 0)))
 
-    @pytest.mark.parametrize("samples", [0, -4, 2.5, "3"])
+    @pytest.mark.parametrize("samples", [0, -4, 2.5, "3", True])
     def test_non_positive_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             ex.cross_section("Cbar", ex.builtin(1), [4], samples=samples)

@@ -105,7 +105,7 @@ def test_gather_block_keeps_bits_off_the_mesh(n):
 # ---------------------------------------------------------------------------
 # nonsense arguments
 
-@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, False])
 def test_non_integral_degree_raises(n):
     with pytest.raises(ValueError, match="n must be an integer"):
         ex.mesh_stancu_disk(n)

@@ -151,7 +151,7 @@ def test_scalar_node_table_matches_loop():
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # simplex_bernstein's
     for _ in range(2):
-        biv._scalar_values(g, ("test", n), counts, nodes, [0.3], [0.4])
+        biv._scalar_values(g, ("test", n), counts, nodes, 0.3, 0.4)
         table = biv._node_tables[g, "test", n]
         assert table.tobytes() == expected.tobytes()
         same_calls(calls, loop_calls)

@@ -302,7 +302,7 @@ def parent_stancu(f, dom, n, sched, x, y):
     width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
     return biv._scalar_values(f, ("parent_stancu", n, sched, dom), counts,
                               lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
-                              [s], [biv._inner_t(dom, x, y)])[0]
+                              s, biv._inner_t(dom, x, y))
 
 
 def parent_stancu_nodes(dom, n, sched):
@@ -704,5 +704,5 @@ def test_scalar_values_within_1e_13_of_a_40_digit_sum(form, n, monkeypatch):
     monkeypatch.setattr(disk, "_scalar_values", spy)
     for e, (x, y) in zip([1, 2, 3, 4] * 3, ORACLE_POINTS):
         value = ORACLE_FORMS[form](ex.builtin(e), n, x, y)
-        counts, (s,), (t,), table = seen.pop()
+        counts, s, t, table = seen.pop()
         assert abs(value - mp_nested_sum(s, t, counts, table)) <= 1e-13

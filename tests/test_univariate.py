@@ -155,6 +155,18 @@ class TestShiftedBasis:
     def test_out_of_interval(self):
         with pytest.raises(ValueError):
             basis_shifted(3, 1, 5.0, self.IV)
+        for x in (5.0, -1.5):
+            with pytest.raises(ValueError, match="outside"):
+                basis_shifted_row(3, x, self.IV)
+
+
+@pytest.mark.parametrize("alpha, beta, message", [
+    (math.nan, 1.0, "finite"), (0.0, math.inf, "finite"), (-math.inf, 0.0, "finite"),
+    (1.0, 0.0, "need alpha < beta"), (0.5, 0.5, "need alpha < beta"),
+])
+def test_interval_needs_finite_increasing_endpoints(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        Interval(alpha, beta)
 
 
 class TestBernsteinOperator:
@@ -274,6 +286,13 @@ class TestCTau:
         bad = Transform1D(lambda x: x + 0.2, lambda x: x - 0.2)
         with pytest.raises(ValueError):
             c_tau(lambda t: t, bad, 4, 0.5)
+
+    def test_degree_zero_rejects_a_point_outside_the_interval(self):
+        iv = Interval(-1.0, 2.0)
+        assert c_tau_shifted(lambda t: t + 3.0, identity_transform(), 0, 2.0, iv) == 2.0
+        for x in (-1.5, 2.5):
+            with pytest.raises(ValueError, match="outside"):
+                c_tau_shifted(lambda t: t, identity_transform(), 0, x, iv)
 
 
 def test_f_gets_python_floats():
