@@ -8,6 +8,7 @@ x-dependent node count) inside one in x.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 import warnings
 from collections import OrderedDict
@@ -39,8 +40,9 @@ __all__ = [
 class CurvilinearDomain:
     """Region a <= x <= b, phi1(x) <= y <= phi2(x).
 
-    phi1 < phi2 is checked on _GRID points; equality is tolerated only at
-    the endpoints x = a, b, which are then flagged as degenerate edges.
+    x_interval is Interval(a, b), so a < b are finite. phi1 < phi2 is
+    checked on _GRID points; equality is tolerated only at the endpoints
+    x = a, b, which are then flagged as degenerate edges.
     """
 
     a: float
@@ -49,8 +51,7 @@ class CurvilinearDomain:
     phi2: Callable[[float], float]
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        self.x_interval = Interval(self.a, self.b)  # finite a < b, checked before the grid
         xs = np.linspace(self.a, self.b, _GRID)
         widths = np.array([self.phi2(x) - self.phi1(x) for x in xs])
         interior_bad = widths[1:-1] <= _EPS
@@ -58,10 +59,6 @@ class CurvilinearDomain:
             raise ValueError("phi1 < phi2 violated inside [a, b]")
         self.degenerate_left = bool(widths[0] <= _EPS)
         self.degenerate_right = bool(widths[-1] <= _EPS)
-
-    @property
-    def x_interval(self) -> Interval:
-        return Interval(self.a, self.b)
 
     def width(self, x: float) -> float:
         return self.phi2(x) - self.phi1(x)
@@ -159,6 +156,21 @@ class LiftedField:
 
 def lift(f: Callable[[float, float], float], dom: CurvilinearDomain) -> LiftedField:
     return LiftedField(f, dom)
+
+
+def _schedule_counts(sched: NodeSchedule, n: int) -> np.ndarray:
+    """sched.counts(n); ValueError unless sched is a NodeSchedule."""
+    if not isinstance(sched, NodeSchedule):
+        raise ValueError(f"sched must be a NodeSchedule, got {sched!r}")
+    return sched.counts(n)
+
+
+def _checked_point(dom: CurvilinearDomain, x: float, y: float) -> None:
+    """ValueError unless (x, y) is finite and dom.contains it, in that order."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point ({x}, {y}) is not finite")
+    if not dom.contains(x, y):
+        raise ValueError(f"point ({x}, {y}) outside the domain")
 
 
 def _inner_t(dom: CurvilinearDomain, x: float, y: float) -> float:
@@ -355,9 +367,8 @@ def stancu(
     """Bivariate Bernstein-Stancu operator of f evaluated at (x, y); an x
     that dom.contains accepts within its tolerance outside [a, b] is
     evaluated at the nearer end, as ball_stancu does."""
-    counts = sched.counts(n)
-    if not dom.contains(x, y):
-        raise ValueError(f"point ({x}, {y}) outside the domain")
+    _checked_point(dom, x, y)
+    counts = _schedule_counts(sched, n)
     x = min(max(x, dom.a), dom.b)
     return _scalar_values(f, ("stancu", n, sched, dom), counts, _row_nodes(dom, n),
                           dom.x_interval.to_unit(x), _inner_t(dom, x, y))
@@ -365,7 +376,7 @@ def stancu(
 
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:
     """Node mesh (x_k, y_{k,j}) of the operator; y rows span [phi1, phi2]."""
-    counts = sched.counts(n)
+    counts = _schedule_counts(sched, n)
     j = np.arange(counts.max() + 1)
     x, y = _row_nodes(dom, n)(np.arange(n + 1)[:, None], j, counts[:, None])
     # row k keeps the j of np.arange(n_k + 1)
@@ -384,9 +395,8 @@ def stancu_determinant(
 
     Intended as a small-n cross-check; O(n^3) per evaluation.
     """
-    if not dom.contains(x, y):
-        raise ValueError(f"point ({x}, {y}) outside the domain")
-    counts = sched.counts(n)
+    _checked_point(dom, x, y)
+    counts = _schedule_counts(sched, n)
     t = _inner_t(dom, x, y)
     F = lift(f, dom)
     m = np.zeros((n + 2, n + 2))
@@ -411,8 +421,7 @@ def monomial_image(
     on the schedule and is only provided for "n-minus-k" and "k".
     """
     n = _degree(n)
-    if not dom.contains(x, y):
-        raise ValueError(f"point ({x}, {y}) outside the domain")
+    _checked_point(dom, x, y)
     a, b = dom.a, dom.b
     iv = dom.x_interval
     if which == "1":
@@ -431,9 +440,9 @@ def monomial_image(
             + bernstein_shifted(lambda u: u * dom.phi1(u), n, x, iv)
         )
     if which == "y2":
+        counts = _schedule_counts(sched, n)
         if sched.kind not in ("n-minus-k", "k"):
             raise ValueError("y2 closed form requires the n-minus-k or k schedule")
-        counts = sched.counts(n)
         outer = basis_row(n, iv.to_unit(x))
         _, d, _ = _node_map(dom, n)
         # second moment of the inner operator, summed with the exact n_k used

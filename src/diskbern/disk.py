@@ -2,6 +2,9 @@
 Duffy simplex, the unit disk, and its quadrants, plus the piecewise disk
 operators that are continuous across the axes.
 
+The square and the simplex are bivariate.stancu on the trapezoids _SQUARE
+and _SIMPLEX; the chord disk and the quadrants have their own maps here.
+
 Quadrant closed forms are degree-2n polynomials in (x, y). They are
 evaluated through factored binomial rows in log space (algebraically equal
 to the multinomial expansion), which keeps evaluation total on the closed
@@ -11,12 +14,14 @@ quadrant including the rim and the axes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-from .bivariate import NodeSchedule, _node_values, _scalar_values
+from .bivariate import (CurvilinearDomain, NodeSchedule, _node_values, _scalar_values,
+                        _schedule_counts, stancu)
 from .univariate import _EPS, _SLACK, Interval, _degree, basis_row, check_f_values
 
 __all__ = [
@@ -60,6 +65,9 @@ class Quadrant(enum.Enum):
 
 _QUADRANTS = tuple(Quadrant)
 
+_SQUARE = CurvilinearDomain(-1.0, 1.0, lambda x: -1.0, lambda x: 1.0)
+_SIMPLEX = CurvilinearDomain(0.0, 1.0, lambda x: 0.0, lambda x: 1.0 - x)
+
 
 def _quadrant_index(x, y):
     """Index in _QUADRANTS of the first of B1 > B2 > B3 > B4 that holds (x, y),
@@ -93,42 +101,20 @@ def _checked_points(pts) -> np.ndarray:
     return pts
 
 
-def square_bernstein(
-    f: Callable[[float, float], float],
-    n: int,
-    sched: NodeSchedule,
-    x: float,
-    y: float,
-) -> float:
-    """Tensor Bernstein operator on [-1, 1]^2 via the affine lift."""
-    if not (-1.0 - _EPS <= x <= 1.0 + _EPS and -1.0 - _EPS <= y <= 1.0 + _EPS):
-        raise ValueError(f"point ({x}, {y}) outside [-1, 1]^2")
-    s, t = ((min(max(v, -1.0), 1.0) + 1.0) / 2.0 for v in (x, y))
-    return _scalar_values(f, ("square", n, sched), sched.counts(n),
-                          lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk), s, t)
+def square_bernstein(f: Callable[[float, float], float], n: int, sched: NodeSchedule,
+                     x: float, y: float) -> float:
+    """Tensor Bernstein operator on [-1, 1]^2: stancu on _SQUARE."""
+    return stancu(f, _SQUARE, n, sched, x, y)
 
 
-def simplex_bernstein(
-    f: Callable[[float, float], float],
-    n: int,
-    sched: NodeSchedule,
-    x: float,
-    y: float,
-) -> float:
-    """Bernstein-Stancu operator on the triangle x, y >= 0, x + y <= 1,
-    through the Duffy parameterization with the degenerate corner x = 1
-    handled as the limit f(1, 0). With the n-minus-k schedule this is the
-    classical multinomial operator on the simplex.
+def simplex_bernstein(f: Callable[[float, float], float], n: int, sched: NodeSchedule,
+                      x: float, y: float) -> float:
+    """Bernstein-Stancu operator on the triangle x, y >= 0, x + y <= 1:
+    stancu on _SIMPLEX, whose nodes (k/n, (1 - k/n) j/n_k) are the Duffy
+    nodes and whose right edge x = 1 is degenerate. With the n-minus-k
+    schedule this is the classical multinomial operator on the simplex.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"point ({x}, {y}) is not finite")
-    if x < -_EPS or y < -_EPS or x + y > 1.0 + _SLACK:
-        raise ValueError(f"point ({x}, {y}) outside the simplex")
-    x, y = max(x, 0.0), max(y, 0.0)
-    t = y / (1.0 - x) if 1.0 - x > _EPS else 0.0
-    return _scalar_values(f, ("simplex", n, sched), sched.counts(n),
-                          lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)),
-                          min(x, 1.0), min(max(t, 0.0), 1.0))
+    return stancu(f, _SIMPLEX, n, sched, x, y)
 
 
 def ball_stancu(
@@ -145,7 +131,7 @@ def ball_stancu(
     check_disk_point(x, y)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    return _scalar_values(f, ("ball", n, sched), sched.counts(n), _chord_nodes(n),
+    return _scalar_values(f, ("ball", n, sched), _schedule_counts(sched, n), _chord_nodes(n),
                           (min(max(x, -1.0), 1.0) + 1.0) / 2.0, min(max(t, 0.0), 1.0))
 
 
@@ -321,6 +307,10 @@ def axis_continuity_check(
     samples = _degree(samples, name="samples")
     if which not in ("stancu", "bernstein-type"):
         raise ValueError(f"unknown construction {which!r}")
+    try:
+        hash(f)
+    except TypeError:  # a proxy keys f's four tables in the memo, so each is sampled once
+        f = functools.partial(f)
     # Both constructions evaluate the same closed form: each half-axis's two
     # quadrants at its points.
     r = np.linspace(0.0, 1.0, samples + 1).tolist()

@@ -2,7 +2,9 @@
 the nested sum (bivariate._nested_sum) and the node-table memo
 (bivariate._node_table), so every scalar operator is its (x, y) -> (s, t)
 map plus one call of it. A scalar operator that sums or reads the memo on
-its own fails here; call _scalar_values instead.
+its own fails here; call _scalar_values instead. And only three operators
+call _scalar_values: bivariate.stancu (which the square and simplex
+operators call on their domains), the chord disk and the quadrants.
 """
 
 from name_users import users
@@ -12,6 +14,12 @@ GUARDED = {"_nested_sum", "_node_table"}
 
 def test_only_the_evaluator_sums_and_reads_the_memo():
     assert users(GUARDED) == {"bivariate._scalar_values": GUARDED}
+
+
+def test_only_stancu_the_chord_disk_and_the_quadrants_call_the_evaluator():
+    assert users({"_scalar_values"}) == {"bivariate.stancu": {"_scalar_values"},
+                                         "disk.ball_stancu": {"_scalar_values"},
+                                         "disk._quadrant_value": {"_scalar_values"}}
 
 
 def test_a_bypass_is_found(tmp_path):

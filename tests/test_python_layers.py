@@ -149,7 +149,7 @@ def test_scalar_node_table_matches_loop():
             loop_calls.append((k / n, (j / nk) * (1.0 - k / n)))
             expected[k, j] = f(*loop_calls[-1])
     g, calls = recorded(f)
-    nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # simplex_bernstein's
+    nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
         biv._scalar_values(g, ("test", n), counts, nodes, 0.3, 0.4)
         table = biv._node_tables[g, "test", n]

@@ -96,6 +96,9 @@ def sampled_rows(f, counts, node):
             for k, nk in enumerate(counts.tolist())]
 
 
+# The square and simplex operators as they were before they became stancu
+# on disk._SQUARE and disk._SIMPLEX: kept only to bound how far they moved.
+
 def loop_square(f, n, sched, x, y):
     counts = sched.counts(n)
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
@@ -150,6 +153,11 @@ def loop_stancu(f, dom, n, sched, x, y):
         ys = dom.width(xk) * np.arange(nk + 1) / nk + dom.phi1(xk)
         fnodes.append(np.array([f(xk, v) for v in ys.tolist()]))
     return loop_sum(outer, t, counts, fnodes)
+
+
+def loop_on(dom):
+    """loop_stancu on dom, with the signature of the square and simplex operators."""
+    return lambda f, n, sched, x, y: loop_stancu(f, dom, n, sched, x, y)
 
 
 def same(new, old):
@@ -229,23 +237,38 @@ def test_ball_stancu_bit_equal_to_loop(n, few):
                  run(loop_ball, f, n, sched, x, y))
 
 
+def few_simplex_points(few):
+    return [(abs(x) / 2, abs(y) / 2) for x, y in few] if few else simplex_points()
+
+
 @pytest.mark.parametrize("n, few", SIZES)
 def test_square_bernstein_bit_equal_to_loop(n, few):
     for e, (x, y) in zip([1, 2, 3, 4] * 9, few or square_points()):
         f = ex.builtin(e)
         for sched in schedules(n):
             same(run(disk.square_bernstein, f, n, sched, x, y),
-                 run(loop_square, f, n, sched, x, y))
+                 run(loop_stancu, f, disk._SQUARE, n, sched, x, y))
 
 
 @pytest.mark.parametrize("n, few", SIZES)
 def test_simplex_duffy_bit_equal_to_loop(n, few):
-    pts = [(abs(x) / 2, abs(y) / 2) for x, y in few] if few else simplex_points()
-    for e, (x, y) in zip([1, 2, 3, 4] * 9, pts):
+    for e, (x, y) in zip([1, 2, 3, 4] * 9, few_simplex_points(few)):
         f = ex.builtin(e)
-        for sched in (NodeSchedule.constant(3), NodeSchedule.constant(n), NodeSchedule.k_index()):
+        for sched in schedules(n):
             same(run(disk.simplex_bernstein, f, n, sched, x, y),
-                 run(loop_simplex, f, n, sched, x, y))
+                 run(loop_stancu, f, disk._SIMPLEX, n, sched, x, y))
+
+
+@pytest.mark.parametrize("n, few", SIZES)
+def test_square_and_simplex_within_1e_14_of_the_old_construction(n, few):
+    """Examples 1-3 (continuous) move by rounding only; example4 is left out,
+    since its nodes on a jump may round to the other side."""
+    for op, old, pts in ((disk.square_bernstein, loop_square, few or square_points()),
+                         (disk.simplex_bernstein, loop_simplex, few_simplex_points(few))):
+        for e, (x, y) in zip([1, 2, 3] * 12, pts):
+            f = ex.builtin(e)
+            for sched in schedules(n):
+                assert abs(op(f, n, sched, x, y) - old(f, n, sched, x, y)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, few", SIZES)
@@ -410,8 +433,8 @@ def test_non_finite_f_raises(name, value):
 
 def test_non_finite_f_message_names_the_point():
     f = lambda x, y: math.nan if y > 0.5 else 1.0
-    # the first node in (k, j) order with y > 0.5 is k = 0, j = 4
-    with pytest.raises(ValueError, match=r"f\(-1\.0, 0\.6\) = nan is not finite"):
+    # the first node in (k, j) order with y > 0.5 is k = 0, j = 4: 2 * 4/5 - 1
+    with pytest.raises(ValueError, match=r"f\(-1\.0, 0\.6000000000000001\) = nan is not finite"):
         disk.square_bernstein(f, 4, NodeSchedule.constant(5), 0.0, 0.0)
 
 
@@ -433,9 +456,9 @@ END_AND_INTERIOR = {
     "ball_stancu": (lambda op, f, x, y: op(f, 6, NodeSchedule.constant(3), x, y),
                     disk.ball_stancu, loop_ball, (-1.0, 0.0), (0.2, 0.1)),
     "square_bernstein": (lambda op, f, x, y: op(f, 6, NodeSchedule.k_index(), x, y),
-                         disk.square_bernstein, loop_square, (1.0, 0.3), (0.2, -0.4)),
+                         disk.square_bernstein, loop_on(disk._SQUARE), (1.0, 0.3), (0.2, -0.4)),
     "simplex_bernstein": (lambda op, f, x, y: op(f, 6, NodeSchedule.n_minus_k(), x, y),
-                          disk.simplex_bernstein, loop_simplex, (0.0, 0.7), (0.2, 0.3)),
+                          disk.simplex_bernstein, loop_on(disk._SIMPLEX), (0.0, 0.7), (0.2, 0.3)),
     "bivariate_stancu": (lambda op, f, x, y: op(f, DISK, 6, NodeSchedule.n_minus_k(), x, y),
                          biv.stancu, loop_stancu, (1.0, 0.0), (0.1, -0.3)),
 }
@@ -532,6 +555,21 @@ def test_repeated_call_reuses_the_node_table(name, hashable):
     assert sampled
     assert bits(SCALAR_OPS[name](g, 5)) == bits(first)
     assert calls[len(sampled):] == ([] if hashable else sampled)
+
+
+@pytest.mark.parametrize("n, samples", [(3, 4), (5, 1), (40, 64)])
+@pytest.mark.parametrize("hashable", [True, False], ids=["hashable", "unhashable"])
+def test_axis_check_samples_each_quadrant_table_once(n, samples, hashable):
+    """One table's worth of f calls per quadrant, however many points the
+    check takes on each half-axis, with the values of a hashable f."""
+    if hashable:
+        f, calls = recording(ex.builtin(3))
+    else:
+        f = Unhashable(ex.builtin(3))
+        calls = f.calls
+    worst = disk.axis_continuity_check("stancu", f, n, samples=samples)
+    assert len(calls) == 4 * (n + 1) * (n + 2) // 2
+    assert bits(worst) == bits(disk.axis_continuity_check("stancu", ex.builtin(3), n, samples=samples))
 
 
 def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch):
