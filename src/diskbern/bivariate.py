@@ -2,7 +2,9 @@
 
 A domain is the region between two curves y = phi1(x), y = phi2(x) over
 [a, b]. The operator nests a univariate Bernstein operator in y (with an
-x-dependent node count) inside one in x.
+x-dependent node count) inside one in x. Every scalar operator evaluates
+that nesting in _scalar_values as one contraction of its memoized node
+table with the inner rows of every degree.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class NodeSchedule:
 
     Kinds: "constant" (n_k = m), "n-minus-k" (n_k = n - k), "k" (n_k = k).
     Indices where the rule yields 0 are replaced by 1 (two coincident-weight
-    nodes) with a warning, so partition of unity stays intact.
+    nodes), so partition of unity stays intact, with a warning: once per node
+    table a scalar operator builds, since a memo hit does not call counts.
     """
 
     kind: str
@@ -158,11 +161,12 @@ def lift(f: Callable[[float, float], float], dom: CurvilinearDomain) -> LiftedFi
     return LiftedField(f, dom)
 
 
-def _schedule_counts(sched: NodeSchedule, n: int) -> np.ndarray:
-    """sched.counts(n); ValueError unless sched is a NodeSchedule."""
+def _schedule_counts(sched: NodeSchedule, n: int) -> Callable[[], np.ndarray]:
+    """sched.counts(n), with its n_k warning, deferred to the call; ValueError
+    now unless sched is a NodeSchedule and n an integer >= 1."""
     if not isinstance(sched, NodeSchedule):
         raise ValueError(f"sched must be a NodeSchedule, got {sched!r}")
-    return sched.counts(n)
+    return functools.partial(sched.counts, _degree(n))
 
 
 def _checked_point(dom: CurvilinearDomain, x: float, y: float) -> None:
@@ -265,23 +269,29 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
 # The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
 # domain or quadrant) and evicted least recently used once they hold more
 # than _NODE_TABLE_BYTES. Each is the whole table of its node set, whatever
-# rows the point weights. f is treated as a pure function of (x, y): a
-# repeated key reuses the table instead of calling f again.
+# rows the point weights, with the distinct degrees of its rows and the
+# index of each row's degree among them. f is treated as a pure function of
+# (x, y): a repeated key reuses the table instead of calling f again.
 _NODE_TABLE_BYTES = 8 << 20
-_node_tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_node_tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _node_table_bytes = 0
 _node_table_lock = threading.Lock()
 
 
-def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
-    """The node table stored under key, or build() when there is none.
+def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
+    return sum(a.nbytes for a in arrays)
 
-    A built table is made read-only and stored unless it alone is larger
-    than the bound. It is only stored when build returned, so a table
+
+def _node_table(key: tuple[Hashable, ...],
+                build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The arrays stored under key, or build() when there are none.
+
+    Built arrays are made read-only and stored unless they alone are larger
+    than the bound. They are only stored when build returned, so a table
     whose f raised or was not finite never is.
     A key that cannot be hashed (an unhashable f) is built on every call.
-    The table is built outside the lock, so two threads that miss the same
-    key at once may each build it; both tables have the same bits.
+    The arrays are built outside the lock, so two threads that miss the same
+    key at once may each build them; both have the same bits.
     """
     global _node_table_bytes
     try:
@@ -289,49 +299,50 @@ def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> n
     except TypeError:
         return build()
     with _node_table_lock:
-        table = _node_tables.get(key)
-        if table is not None:
+        arrays = _node_tables.get(key)
+        if arrays is not None:
             _node_tables.move_to_end(key)
-            return table
-    table = build()
-    table.flags.writeable = False
-    if table.nbytes > _NODE_TABLE_BYTES:
-        return table
+            return arrays
+    arrays = build()
+    for a in arrays:
+        a.flags.writeable = False
+    if _nbytes(arrays) > _NODE_TABLE_BYTES:
+        return arrays
     with _node_table_lock:
         if key not in _node_tables:
-            _node_tables[key] = table
-            _node_table_bytes += table.nbytes
+            _node_tables[key] = arrays
+            _node_table_bytes += _nbytes(arrays)
             while _node_table_bytes > _NODE_TABLE_BYTES:
-                _node_table_bytes -= _node_tables.popitem(last=False)[1].nbytes
-    return table
+                _node_table_bytes -= _nbytes(_node_tables.popitem(last=False)[1])
+    return arrays
 
 
-def _nested_sum(outer: np.ndarray, t: float, counts: np.ndarray, table: np.ndarray) -> float:
-    """sum_k outer[k] * (basis_row(counts[k], t) @ table[k, :counts[k] + 1]),
-    added in order of k over the rows with nonzero outer weight. One
-    _row_triangle, which has basis_row's bits, holds every degree's row.
-    """
+def _degree_table(f: Callable[[float, float], float], counts: np.ndarray,
+                  nodes: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, degrees, rows): F = _node_values(f, counts, nodes), the distinct
+    degrees of its rows in increasing order, and the index in degrees of
+    each row's degree."""
+    degrees, rows = np.unique(counts, return_inverse=True)
+    return _node_values(f, counts, nodes), degrees, rows
+
+
+def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
+                   counts: Callable[[], np.ndarray], nodes: Callable, s: float, t: float) -> float:
+    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t): the one
+    evaluator of the scalar operators. F is _node_values(f, counts(), nodes),
+    read through _node_table under (f, *key), so the counts are built only
+    with F. Over the rows from the first to the last of nonzero outer
+    weight, the inner sums are one product of F with the rows p^{n_k}(t)
+    of one _row_triangle, summed along each row, and the outer sum is one
+    dot. The outer row comes first, so an s outside [0, 1] raises before f
+    is called."""
+    outer = basis_row(n, s)
+    table, degrees, rows = _node_table((f, *key), lambda: _degree_table(f, counts(), nodes))
     live = np.flatnonzero(outer)
-    degrees = counts[live].tolist()
-    distinct = sorted(set(degrees))
-    row = {m: r[: m + 1] for m, r in zip(distinct, _row_triangle(distinct, t))}
-    total = 0.0
-    for k, w, m in zip(live.tolist(), outer[live].tolist(), degrees):
-        # ndarray.dot of two vectors calls the same BLAS ddot as @, for less overhead
-        total += w * float(row[m].dot(table[k, : m + 1]))
-    return total
-
-
-def _scalar_values(f: Callable[[float, float], float], key: tuple, counts: np.ndarray,
-                   nodes: Callable, s: float, t: float) -> float:
-    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t), n =
-    len(counts) - 1: the one evaluator of the scalar operators. F is the
-    node table _node_values(f, counts, nodes) read through _node_table
-    under (f, *key). The outer row comes first, so an s outside [0, 1]
-    raises before f is called."""
-    outer = basis_row(len(counts) - 1, s)
-    table = _node_table((f, *key), lambda: _node_values(f, counts, nodes))
-    return _nested_sum(outer, t, counts, table)
+    band = slice(live[0], live[-1] + 1)
+    first = rows[band].min()
+    inner = _row_triangle(degrees[first:rows[band].max() + 1], t)[rows[band] - first]
+    return float(outer[band].dot((table[band, :inner.shape[1]] * inner).sum(1)))
 
 
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,13 +381,13 @@ def stancu(
     _checked_point(dom, x, y)
     counts = _schedule_counts(sched, n)
     x = min(max(x, dom.a), dom.b)
-    return _scalar_values(f, ("stancu", n, sched, dom), counts, _row_nodes(dom, n),
+    return _scalar_values(f, ("stancu", n, sched, dom), n, counts, _row_nodes(dom, n),
                           dom.x_interval.to_unit(x), _inner_t(dom, x, y))
 
 
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:
     """Node mesh (x_k, y_{k,j}) of the operator; y rows span [phi1, phi2]."""
-    counts = _schedule_counts(sched, n)
+    counts = _schedule_counts(sched, n)()
     j = np.arange(counts.max() + 1)
     x, y = _row_nodes(dom, n)(np.arange(n + 1)[:, None], j, counts[:, None])
     # row k keeps the j of np.arange(n_k + 1)
@@ -396,7 +407,7 @@ def stancu_determinant(
     Intended as a small-n cross-check; O(n^3) per evaluation.
     """
     _checked_point(dom, x, y)
-    counts = _schedule_counts(sched, n)
+    counts = _schedule_counts(sched, n)()
     t = _inner_t(dom, x, y)
     F = lift(f, dom)
     m = np.zeros((n + 2, n + 2))
@@ -440,7 +451,7 @@ def monomial_image(
             + bernstein_shifted(lambda u: u * dom.phi1(u), n, x, iv)
         )
     if which == "y2":
-        counts = _schedule_counts(sched, n)
+        counts = _schedule_counts(sched, n)()
         if sched.kind not in ("n-minus-k", "k"):
             raise ValueError("y2 closed form requires the n-minus-k or k schedule")
         outer = basis_row(n, iv.to_unit(x))

@@ -69,6 +69,13 @@ _SQUARE = CurvilinearDomain(-1.0, 1.0, lambda x: -1.0, lambda x: 1.0)
 _SIMPLEX = CurvilinearDomain(0.0, 1.0, lambda x: 0.0, lambda x: 1.0 - x)
 
 
+def _checked_quadrant(q: Quadrant) -> Quadrant:
+    """q; ValueError unless it is a Quadrant."""
+    if not isinstance(q, Quadrant):
+        raise ValueError(f"q must be a Quadrant, got {q!r}")
+    return q
+
+
 def _quadrant_index(x, y):
     """Index in _QUADRANTS of the first of B1 > B2 > B3 > B4 that holds (x, y),
     a 0 of either sign on both sides of its axis; x and y are floats or arrays."""
@@ -131,7 +138,7 @@ def ball_stancu(
     check_disk_point(x, y)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    return _scalar_values(f, ("ball", n, sched), _schedule_counts(sched, n), _chord_nodes(n),
+    return _scalar_values(f, ("ball", n, sched), n, _schedule_counts(sched, n), _chord_nodes(n),
                           (min(max(x, -1.0), 1.0) + 1.0) / 2.0, min(max(t, 0.0), 1.0))
 
 
@@ -168,7 +175,7 @@ def quadrant_node_table(f: Callable[[float, float], float], n: int, q: Quadrant)
     j <= n - k; returned as a lower-triangular (n+1, n+1) table.
     """
     n = _degree(n)
-    return _node_values(f, n - np.arange(n + 1), _quadrant_nodes(n, q))
+    return _node_values(f, n - np.arange(n + 1), _quadrant_nodes(n, _checked_quadrant(q)))
 
 
 def _quadrant_nodes(n: int, q: Quadrant) -> Callable:
@@ -187,7 +194,8 @@ def _quadrant_value(f: Callable[[float, float], float], q: Quadrant, n: int,
     n = _degree(n)
     u = min(x * x, 1.0)
     t = min(max(y * y / (1.0 - u), 0.0), 1.0) if 1.0 - u > _EPS else 0.0
-    return _scalar_values(f, ("quadrant", n, q), n - np.arange(n + 1), _quadrant_nodes(n, q), u, t)
+    return _scalar_values(f, ("quadrant", n, q), n, lambda: n - np.arange(n + 1),
+                          _quadrant_nodes(n, q), u, t)
 
 
 def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,7 +218,7 @@ def quadrant_stancu(
     with the n-minus-k schedule, which makes it a polynomial of degree 2n.
     """
     check_disk_point(x, y)
-    if not q.contains(x, y):
+    if not _checked_quadrant(q).contains(x, y):
         raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
     return _quadrant_value(f, q, n, x, y)
 
@@ -232,7 +240,7 @@ def quadrant_bernstein_type_via_transforms(
     """
     n = _degree(n)
     check_disk_point(x, y)
-    if not q.contains(x, y):
+    if not _checked_quadrant(q).contains(x, y):
         raise ValueError(f"point ({x}, {y}) not in quadrant {q.name}")
     half = math.sqrt(max(1.0 - x * x, 0.0))
     if q is Quadrant.B1:

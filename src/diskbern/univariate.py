@@ -11,7 +11,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -167,7 +167,7 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return _row_triangle([_degree(n, 0)], x)[0]
 
 
-def _row_triangle(degrees: list[int], x: float) -> np.ndarray:
+def _row_triangle(degrees: Sequence[int], x: float) -> np.ndarray:
     """basis_row(m, x) for each m in degrees as the rows of one array, zero
     right of column m. Entry (m, k) is exp((logC(m, k) + k log x) +
     (m - k) log(1 - x)), with the one-hot rows at x = 0 and x = 1.

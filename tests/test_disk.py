@@ -118,6 +118,14 @@ class TestSimplex:
         with pytest.warns(UserWarning, match="yields n_k=0"):
             simplex_bernstein(lambda x, y: 1.0, 3, NodeSchedule.n_minus_k(), 0.2, 0.3)
 
+    def test_substitution_warns_once_per_node_table_build(self):
+        f = lambda x, y: 1.0
+        with pytest.warns(UserWarning, match="yields n_k=0"):
+            simplex_bernstein(f, 3, NodeSchedule.n_minus_k(), 0.2, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a memo hit builds no counts
+            simplex_bernstein(f, 3, NodeSchedule.n_minus_k(), 0.4, 0.1)
+
     @pytest.mark.parametrize("point", [(math.nan, 0.2), (0.2, math.nan), (math.inf, 0.0),
                                        (0.0, -math.inf)])
     @pytest.mark.parametrize("sched", [NodeSchedule.constant(3), NodeSchedule.n_minus_k()],
@@ -286,6 +294,18 @@ class TestQuadrantOperators:
     def test_transform_path_rejects_a_bad_degree(self, n, message):
         with pytest.raises(ValueError, match=message):
             quadrant_bernstein_type_via_transforms(lambda a, b: 1.0, Quadrant.B2, n, -0.5, 0.5)
+
+    @pytest.mark.parametrize("q", ["B1", None, 1])
+    def test_a_quadrant_that_is_no_quadrant_raises_before_f(self, q):
+        calls = []
+        f = lambda a, b: calls.append((a, b)) or 1.0
+        for call in (lambda: quadrant_stancu(f, q, 3, 0.1, 0.1),
+                     lambda: quadrant_bernstein_type(f, q, 3, 0.1, 0.1),
+                     lambda: quadrant_bernstein_type_via_transforms(f, q, 3, 0.1, 0.1),
+                     lambda: quadrant_node_table(f, 3, q)):
+            with pytest.raises(ValueError, match=rf"q must be a Quadrant, got {q!r}"):
+                call()
+        assert calls == []
 
 
 class TestPiecewise:

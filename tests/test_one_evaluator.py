@@ -1,19 +1,21 @@
 """One scalar evaluator: in src/diskbern only bivariate._scalar_values uses
-the nested sum (bivariate._nested_sum) and the node-table memo
+the inner rows of several degrees (univariate._row_triangle, which
+basis_row also calls for its one degree) and the node-table memo
 (bivariate._node_table), so every scalar operator is its (x, y) -> (s, t)
-map plus one call of it. A scalar operator that sums or reads the memo on
-its own fails here; call _scalar_values instead. And only three operators
+map plus one call of it. A scalar operator that sums its own rows or reads
+the memo fails here; call _scalar_values instead. And only three operators
 call _scalar_values: bivariate.stancu (which the square and simplex
 operators call on their domains), the chord disk and the quadrants.
 """
 
 from name_users import users
 
-GUARDED = {"_nested_sum", "_node_table"}
+GUARDED = {"_row_triangle", "_node_table"}
 
 
 def test_only_the_evaluator_sums_and_reads_the_memo():
-    assert users(GUARDED) == {"bivariate._scalar_values": GUARDED}
+    assert users(GUARDED) == {"bivariate._scalar_values": GUARDED,
+                              "univariate.basis_row": {"_row_triangle"}}
 
 
 def test_only_stancu_the_chord_disk_and_the_quadrants_call_the_evaluator():
@@ -24,20 +26,20 @@ def test_only_stancu_the_chord_disk_and_the_quadrants_call_the_evaluator():
 
 def test_a_bypass_is_found(tmp_path):
     (tmp_path / "extra.py").write_text(
-        "from .bivariate import _nested_sum\n\n"
+        "from .univariate import _row_triangle\n\n"
         "def summed(outer, t, counts, table):\n"
-        "    return _nested_sum(outer, t, counts, table)\n\n"
+        "    return outer @ (table * _row_triangle(counts, t)).sum(1)\n\n"
         "def memo(f, n):\n"
         "    return biv._node_table((f, n), lambda: None)\n\n"
         "def passed_on(rows):\n"
-        "    return list(map(_nested_sum, rows))\n\n"
+        "    return list(map(_row_triangle, rows))\n\n"
         "def nested(f):\n"
         "    def inner():\n"
         "        return _node_table(f, f)\n"
         "    return inner\n\n"
-        "def _nested_sum_free(x):\n"
+        "def _row_triangle_free(x):\n"
         "    return x\n")
-    assert users(GUARDED, tmp_path) == {"extra.summed": {"_nested_sum"},
+    assert users(GUARDED, tmp_path) == {"extra.summed": {"_row_triangle"},
                                         "extra.memo": {"_node_table"},
-                                        "extra.passed_on": {"_nested_sum"},
+                                        "extra.passed_on": {"_row_triangle"},
                                         "extra.nested.inner": {"_node_table"}}

@@ -139,7 +139,8 @@ def test_chord_node_table_matches_loop(n):
 
 def test_scalar_node_table_matches_loop():
     """_scalar_values: f at the nodes of every row, call for call, kept in
-    the memo under (f, *key), and a repeated key makes no call."""
+    the memo under (f, *key) with its distinct degrees and each row's index
+    among them, and a repeated key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
     loop_calls, expected = [], np.zeros((n + 1, 10))
@@ -151,9 +152,11 @@ def test_scalar_node_table_matches_loop():
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
-        biv._scalar_values(g, ("test", n), counts, nodes, 0.3, 0.4)
-        table = biv._node_tables[g, "test", n]
+        biv._scalar_values(g, ("test", n), n, lambda: counts, nodes, 0.3, 0.4)
+        table, degrees, rows = biv._node_tables[g, "test", n]
         assert table.tobytes() == expected.tobytes()
+        assert degrees.tolist() == [1, 2, 3, 4, 5, 9]
+        assert degrees[rows].tolist() == counts.tolist()
         same_calls(calls, loop_calls)
 
 
@@ -211,20 +214,16 @@ def test_basis_rows_with_endpoints_matches_formula(n):
 
 
 def reference_ball_stancu(f, n, m, x, y):
-    """ball_stancu with the constant schedule m, rebuilding the inner row at
-    every k."""
+    """ball_stancu with the constant schedule m, sampling the node table row
+    by row and contracting it with the one inner row as the evaluator does:
+    p^n(s) @ (F * p^m(t)).sum(1)."""
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > 1e-12 else 0.5
     t = min(max(t, 0.0), 1.0)
-    total = 0.0
-    for k in range(n + 1):
-        if px[k] == 0.0:
-            continue
-        yscale = 2.0 * math.sqrt(k * (n - k)) / n
-        fvals = np.array([f((2 * k - n) / n, (2 * j - m) / m * yscale) for j in range(m + 1)])
-        total += px[k] * float(basis_row(m, t) @ fvals)
-    return total
+    table = np.array([[f((2 * k - n) / n, (2 * j - m) / m * (2.0 * math.sqrt(k * (n - k)) / n))
+                       for j in range(m + 1)] for k in range(n + 1)])
+    return float(px.dot((table * basis_row(m, t)).sum(1)))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (7, 7), (40, 40), (12, 5)])
@@ -251,5 +250,6 @@ def test_ball_stancu_builds_one_inner_row_per_degree(monkeypatch):
     monkeypatch.setattr(biv, "basis_row", counting_row)
     monkeypatch.setattr(biv, "_row_triangle", counting_triangle)
     ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(20), 0.3, 0.4)
-    assert degrees == [20]  # the outer row
-    assert inner == [[20]]  # one shared inner row
+    ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(20), 0.5, 0.1)
+    assert degrees == [20, 20]  # the outer rows, on a miss and a hit
+    assert inner == [[20], [20]]  # one shared inner row each

@@ -1,7 +1,9 @@
 """The scalar nested-Bernstein evaluator, checked bit for bit: the row
 triangle against basis_row at every degree, and each scalar operator against
-the per-k basis_row loop it replaced (kept here as the reference), with the
-same calls of f in the same order. Also non-finite f, degrees that are not
+a per-k loop that samples its own node table and builds each row's inner
+basis_row (kept here as the reference), with the same calls of f in the same
+order, then contracts them as the evaluator does. Its arithmetic is checked
+against 40-digit sums of its own node table. Also non-finite f, degrees that are not
 integers >= 1, one node table per node set (a point that weights only some
 rows samples, and shares, the whole table) and the node-table memo: a
 repeated call reuses the table, a call with an unhashable f samples again,
@@ -77,17 +79,22 @@ def recording(f):
     return g, calls
 
 
-# The per-k loops the evaluator replaced, as they were, except that f is
-# sampled at every row's nodes before the sum, as the evaluator samples a
-# whole node table: rows of zero outer weight are sampled but not added.
+# The per-k loops the evaluator replaced, except that f is sampled at every
+# row's nodes before the sum, as the evaluator samples a whole node table,
+# and that the rows are then contracted as the evaluator contracts them.
 
-def loop_sum(outer, t, counts, fnodes):
-    total = 0.0
-    for k in range(len(outer)):
-        if outer[k] == 0.0:
-            continue
-        total += outer[k] * float(basis_row(int(counts[k]), t) @ fnodes[k])
-    return total
+def contracted(outer, t, counts, fnodes):
+    """outer[K] @ (F * P).sum(1) over the rows K from the first to the last
+    of nonzero outer weight: row k of F holds fnodes[k] and row k of P
+    basis_row(counts[k], t), both zero right of column counts[k] and as wide
+    as the largest counts[k] in K allows."""
+    live = np.flatnonzero(outer)
+    band = range(live[0], live[-1] + 1)
+    table, rows = (np.zeros((len(band), int(counts[band].max()) + 1)) for _ in range(2))
+    for i, k in enumerate(band):
+        table[i, : counts[k] + 1] = fnodes[k]
+        rows[i, : counts[k] + 1] = basis_row(int(counts[k]), t)
+    return float(outer[band].dot((table * rows).sum(1)))
 
 
 def sampled_rows(f, counts, node):
@@ -104,7 +111,7 @@ def loop_square(f, n, sched, x, y):
     px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
     ty = (min(max(y, -1.0), 1.0) + 1.0) / 2.0
     fnodes = sampled_rows(f, counts, lambda k, j, nk: ((2 * k - n) / n, (2 * j - nk) / nk))
-    return loop_sum(px, ty, counts, fnodes)
+    return contracted(px, ty, counts, fnodes)
 
 
 def loop_simplex(f, n, sched, x, y):
@@ -114,7 +121,7 @@ def loop_simplex(f, n, sched, x, y):
     t = y / (1.0 - x) if 1.0 - x > 1e-12 else 0.0
     t = min(max(t, 0.0), 1.0)
     fnodes = sampled_rows(f, counts, lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n)))
-    return loop_sum(px, t, counts, fnodes)
+    return contracted(px, t, counts, fnodes)
 
 
 def loop_ball(f, n, sched, x, y):
@@ -125,7 +132,7 @@ def loop_ball(f, n, sched, x, y):
     t = min(max(t, 0.0), 1.0)
     fnodes = sampled_rows(f, counts, lambda k, j, nk: (
         (2 * k - n) / n, (2 * j - nk) / nk * (2.0 * math.sqrt(k * (n - k)) / n)))
-    return loop_sum(px, t, counts, fnodes)
+    return contracted(px, t, counts, fnodes)
 
 
 def loop_closed_form(table, n, x, y):
@@ -133,12 +140,7 @@ def loop_closed_form(table, n, x, y):
     pu = basis_row(n, u)
     t = (y * y) / (1.0 - u) if 1.0 - u > 1e-12 else 0.0
     t = min(max(t, 0.0), 1.0)
-    total = 0.0
-    for k in range(n + 1):
-        if pu[k] == 0.0:
-            continue
-        total += pu[k] * float(basis_row(n - k, t) @ table[k, : n - k + 1])
-    return total
+    return contracted(pu, t, n - np.arange(n + 1), [table[k, : n - k + 1] for k in range(n + 1)])
 
 
 def loop_stancu(f, dom, n, sched, x, y):
@@ -152,7 +154,7 @@ def loop_stancu(f, dom, n, sched, x, y):
         nk = int(counts[k])
         ys = dom.width(xk) * np.arange(nk + 1) / nk + dom.phi1(xk)
         fnodes.append(np.array([f(xk, v) for v in ys.tolist()]))
-    return loop_sum(outer, t, counts, fnodes)
+    return contracted(outer, t, counts, fnodes)
 
 
 def loop_on(dom):
@@ -323,7 +325,7 @@ def parent_stancu(f, dom, n, sched, x, y):
     s = dom.x_interval.to_unit(x)
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
     width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
-    return biv._scalar_values(f, ("parent_stancu", n, sched, dom), counts,
+    return biv._scalar_values(f, ("parent_stancu", n, sched, dom), n, lambda: counts,
                               lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
                               s, biv._inner_t(dom, x, y))
 
@@ -573,7 +575,8 @@ def test_axis_check_samples_each_quadrant_table_once(n, samples, hashable):
 
 
 def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch):
-    n, table_bytes = 5, 6 * 6 * 8  # a quadrant table at n = 5 holds 21 nodes
+    # a quadrant table at n = 5 holds 21 nodes in 6 rows of 6 degrees
+    n, table_bytes = 5, 6 * 6 * 8 + 6 * 8 + 6 * 8
     monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", 3 * table_bytes)
     fs = [recording(const(float(i))) for i in range(5)]
 
@@ -581,7 +584,7 @@ def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch
         g, calls = fs[i]
         before = len(calls)
         assert disk.quadrant_stancu(g, Quadrant.B1, n, 0.1, 0.1) == float(i)
-        assert biv._node_table_bytes == sum(t.nbytes for t in biv._node_tables.values())
+        assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
         assert biv._node_table_bytes <= biv._NODE_TABLE_BYTES
         return len(calls) - before
 
@@ -595,7 +598,7 @@ def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch
     assert stored() == [3, 1, 4]
     assert f_calls(0) == 21
     assert stored() == [1, 4, 0]
-    assert all(not t.flags.writeable for t in biv._node_tables.values())
+    assert all(not a.flags.writeable for v in biv._node_tables.values() for a in v)
 
     # a table larger than the bound is used but not stored
     monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", table_bytes - 1)
@@ -627,7 +630,7 @@ def test_threads_reading_the_memo_give_the_serial_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert set(biv._node_tables) == set(stored)
-    assert biv._node_table_bytes == sum(t.nbytes for t in biv._node_tables.values())
+    assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
 
 
 def _perfbench_workloads():
@@ -724,6 +727,8 @@ ORACLE_POINTS = [(0.0, 0.0), (0.5, 0.0), (-0.7, -0.0), (0.0, 0.6), (-0.0, -0.3),
 ORACLE_FORMS = {
     "quadrant": lambda f, n, x, y: disk.piecewise_stancu_disk(f, n, x, y),
     "chord": lambda f, n, x, y: disk.ball_stancu(f, n, NodeSchedule.constant(n), x, y),
+    "stancu-n-minus-k": lambda f, n, x, y: biv.stancu(f, DISK, n, NodeSchedule.n_minus_k(), x, y),
+    "stancu-k": lambda f, n, x, y: biv.stancu(f, DISK, n, NodeSchedule.k_index(), x, y),
 }
 
 
@@ -734,12 +739,13 @@ def test_scalar_values_within_1e_13_of_a_40_digit_sum(form, n, monkeypatch):
     from, at the (s, t) its operator passed to the evaluator."""
     seen = []
 
-    def spy(f, key, counts, nodes, s, t):
-        seen.append((counts, s, t, biv._node_values(f, counts, nodes)))
-        return evaluator(f, key, counts, nodes, s, t)
+    def spy(f, key, n, counts, nodes, s, t):
+        seen.append((counts(), s, t, biv._node_values(f, counts(), nodes)))
+        return evaluator(f, key, n, counts, nodes, s, t)
 
     evaluator = biv._scalar_values
     monkeypatch.setattr(disk, "_scalar_values", spy)
+    monkeypatch.setattr(biv, "_scalar_values", spy)
     for e, (x, y) in zip([1, 2, 3, 4] * 3, ORACLE_POINTS):
         value = ORACLE_FORMS[form](ex.builtin(e), n, x, y)
         counts, s, t, table = seen.pop()
