@@ -19,7 +19,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import (_EPS, _GRID, _SLACK, Interval, _degree, _row_triangle, basis_row,
+from .univariate import (_EPS, _GRID, _SLACK, Interval, _degree, _log_triangle,
+                         _log_triangle_nbytes, _not_bool, _row_triangle, basis_row,
                          bernstein, bernstein_shifted, check_f_values)
 
 __all__ = [
@@ -170,7 +171,10 @@ def _schedule_counts(sched: NodeSchedule, n: int) -> Callable[[], np.ndarray]:
 
 
 def _checked_point(dom: CurvilinearDomain, x: float, y: float) -> None:
-    """ValueError unless (x, y) is finite and dom.contains it, in that order."""
+    """ValueError unless (x, y) is finite and dom.contains it, in that order;
+    a bool coordinate raises first, naming it."""
+    _not_bool(x, "x")
+    _not_bool(y, "y")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point ({x}, {y}) is not finite")
     if not dom.contains(x, y):
@@ -267,11 +271,12 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
 
 
 # The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
-# domain or quadrant) and evicted least recently used once they hold more
-# than _NODE_TABLE_BYTES. Each is the whole table of its node set, whatever
-# rows the point weights, with the distinct degrees of its rows and the
-# index of each row's degree among them. f is treated as a pure function of
-# (x, y): a repeated key reuses the table instead of calling f again.
+# domain or quadrant), and the log triangles of their row degrees, keyed by
+# (_log_triangle, the degrees' bytes), evicted least recently used once they
+# hold more than _NODE_TABLE_BYTES. Each table is the whole table of its
+# node set, whatever rows the point weights, with the degree of each row. f
+# is treated as a pure function of (x, y): a repeated key reuses the table
+# instead of calling f again.
 _NODE_TABLE_BYTES = 8 << 20
 _node_tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _node_table_bytes = 0
@@ -317,13 +322,10 @@ def _node_table(key: tuple[Hashable, ...],
     return arrays
 
 
-def _degree_table(f: Callable[[float, float], float], counts: np.ndarray,
-                  nodes: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, degrees, rows): F = _node_values(f, counts, nodes), the distinct
-    degrees of its rows in increasing order, and the index in degrees of
-    each row's degree."""
-    degrees, rows = np.unique(counts, return_inverse=True)
-    return _node_values(f, counts, nodes), degrees, rows
+def _counted_table(f: Callable[[float, float], float], counts: np.ndarray,
+                   nodes: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """(F, counts): F = _node_values(f, counts, nodes) with its row degrees."""
+    return _node_values(f, counts, nodes), counts
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
@@ -331,18 +333,29 @@ def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
     """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t): the one
     evaluator of the scalar operators. F is _node_values(f, counts(), nodes),
     read through _node_table under (f, *key), so the counts are built only
-    with F. Over the rows from the first to the last of nonzero outer
-    weight, the inner sums are one product of F with the rows p^{n_k}(t)
-    of one _row_triangle, summed along each row, and the outer sum is one
-    dot. The outer row comes first, so an s outside [0, 1] raises before f
-    is called."""
+    with F. Over the band of rows from the first to the last of nonzero
+    outer weight, the inner sums are one product of F with the rows
+    p^{n_k}(t) of one _row_triangle, summed along each row, and the outer
+    sum is one dot. A band of one degree broadcasts that degree's row. Any
+    other band slices its rows from the _log_triangle of the table's row
+    degrees, kept in the memo under them, so a hit only adds the t terms
+    and exponentiates; a triangle larger than the memo's bound is never
+    built whole, and each call builds the band's. The outer row comes
+    first, so an s outside [0, 1] raises before f is called."""
     outer = basis_row(n, s)
-    table, degrees, rows = _node_table((f, *key), lambda: _degree_table(f, counts(), nodes))
-    live = np.flatnonzero(outer)
+    table, counts = _node_table((f, *key), lambda: _counted_table(f, counts(), nodes))
+    live = outer.nonzero()[0]
     band = slice(live[0], live[-1] + 1)
-    first = rows[band].min()
-    inner = _row_triangle(degrees[first:rows[band].max() + 1], t)[rows[band] - first]
-    return float(outer[band].dot((table[band, :inner.shape[1]] * inner).sum(1)))
+    degrees = counts[band]
+    w = degrees.max() + 1
+    if degrees.min() == w - 1:  # one row, broadcast over the band
+        inner = _row_triangle(degrees[:1], t)
+    elif _log_triangle_nbytes(counts) <= _NODE_TABLE_BYTES:
+        logs = _node_table((_log_triangle, counts.tobytes()), lambda: _log_triangle(counts))
+        inner = _row_triangle(degrees, t, [a[band, :w] for a in logs])
+    else:
+        inner = _row_triangle(degrees, t)
+    return float(outer[band].dot((table[band, :w] * inner).sum(1)))
 
 
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -479,11 +492,13 @@ def voronovskaja_probe(
 
     Returns (n, residual, n * residual) triples; for twice-differentiable f
     the scaled residual should stay bounded. A NaN or inf f at the point
-    raises ValueError.
+    raises ValueError, and so does a point that stancu would reject, before
+    f is called.
     """
     if sched is None:
         sched = NodeSchedule.n_minus_k()
     x, y = point
+    _checked_point(dom, x, y)
     target = float(_sample_points(f, np.array([[x, y]], dtype=float))[0])
     out = []
     for n in n_list:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bivariate import (CurvilinearDomain, NodeSchedule, _node_values, _scalar_values,
                         _schedule_counts, stancu)
-from .univariate import _EPS, _SLACK, Interval, _degree, basis_row, check_f_values
+from .univariate import _EPS, _SLACK, Interval, _degree, _not_bool, basis_row, check_f_values
 
 __all__ = [
     "Quadrant",
@@ -84,6 +84,8 @@ def _quadrant_index(x, y):
 
 # Each (x, y) -> (u, t) map and disk check has an array twin; tests/test_one_home.py pins the pairs.
 def check_disk_point(x: float, y: float):
+    _not_bool(x, "x")
+    _not_bool(y, "y")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point ({x}, {y}) is not finite")
     if x * x + y * y > 1.0 + _SLACK:

@@ -618,7 +618,10 @@ def cross_section(
     compute every n in one sweep of the degrees.
     """
     samples = _degree(samples, name="samples")
-    (x0, y0), (x1, y1) = segment
+    try:
+        (x0, y0), (x1, y1) = segment
+    except (TypeError, ValueError):  # not two pairs
+        raise ValueError(f"segment must be two (x, y) points, got {segment!r}") from None
     if x0 == x1 and y0 == y1:
         raise ValueError("degenerate segment")
     s = np.linspace(0.0, 1.0, samples)

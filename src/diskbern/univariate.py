@@ -42,6 +42,18 @@ __all__ = [
 _EPS = 1e-12
 _SLACK = 1e-9
 _GRID = 1024
+# exp(x) is +0.0 for every x below this (the smallest subnormal is
+# exp(-744.44)), and numpy's exp takes 13 to 18 times as long on such x as
+# on x with a normal result.
+_EXP_ZERO = -746.0
+
+
+def _not_bool(x, name: str):
+    """x; ValueError naming it if it is a bool, Python's or numpy's, which
+    would otherwise read as the coordinate 1 or 0."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,8 @@ class Interval:
     beta: float
 
     def __post_init__(self):
+        _not_bool(self.alpha, "alpha")
+        _not_bool(self.beta, "beta")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("interval endpoints must be finite")
         if not self.alpha < self.beta:
@@ -90,6 +104,7 @@ def _degree(n, least: int = 1, name: str = "n") -> int:
 
 
 def _check_unit(x: float) -> float:
+    _not_bool(x, "x")
     if not -_EPS <= x <= 1.0 + _EPS:
         raise ValueError(f"argument {x} outside [0, 1]")
     return min(max(x, 0.0), 1.0)
@@ -167,26 +182,68 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return _row_triangle([_degree(n, 0)], x)[0]
 
 
-def _row_triangle(degrees: Sequence[int], x: float) -> np.ndarray:
+def _log_triangle(degrees: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of _row_triangle(degrees, x) that does not depend on x, one
+    row per degree m and one column per k <= max(degrees): (L, d, below)
+    with d = max(m - k, 0) as floats, L = (log m! - log k!) - log d! and
+    below = k <= m. Row m of d, of log d! and of below is a window of one
+    sequence in m - k, so each is built by copying rows, not by a gather.
+    """
+    m = np.asarray(degrees)
+    top = int(m.max())
+    lf = log_factorials(top)
+
+    def windows(by_m_minus_k, above):  # (m, k): by_m_minus_k[top - m + k] if k <= m, else above
+        sequence = np.concatenate((by_m_minus_k, np.full(top, above)))
+        # row i of this view is sequence[i:i + top + 1]; numpy checks it fits
+        return np.ndarray((top + 1, top + 1), sequence.dtype, sequence,
+                          strides=2 * sequence.strides)[top - m]
+
+    logs = lf[m, None] - lf
+    logs -= windows(lf[::-1], lf[0])
+    return logs, windows(np.arange(top, -1, -1.0), 0.0), windows(np.ones(top + 1, bool), False)
+
+
+def _log_triangle_nbytes(degrees: Sequence[int]) -> int:
+    """Bytes of _log_triangle(degrees): two floats and a bool per entry."""
+    degrees = np.asarray(degrees)
+    return degrees.size * (int(degrees.max()) + 1) * 17
+
+
+def _row_triangle(degrees: Sequence[int], x: float, logs=None) -> np.ndarray:
     """basis_row(m, x) for each m in degrees as the rows of one array, zero
-    right of column m. Entry (m, k) is exp((logC(m, k) + k log x) +
-    (m - k) log(1 - x)), with the one-hot rows at x = 0 and x = 1.
+    right of column m; the one-hot rows at x = 0 and x = 1. Entry (m, k) is
+    exp((L + k log x) + d log(1 - x)) with L and d from logs, which is
+    _log_triangle(degrees) (built here when None) or its rows for these
+    degrees cut to width max(degrees) + 1. One degree takes L from
+    _log_binomials(m). The exp skips the entries right of column m and
+    those below _EXP_ZERO, which are set to 0.
     """
     x = _check_unit(x)
     m = np.asarray(degrees)[:, None]
-    k = np.arange(int(m.max()) + 1)
     if x == 0.0 or x == 1.0:
+        k = np.arange(int(m.max()) + 1)
         return (k == (m if x == 1.0 else 0 * m)).astype(float)
-    lf = log_factorials(k[-1])
-    d = m - k
-    above = d < 0
-    d[above] = 0
-    logs = lf[m] - lf[k]
-    logs -= lf[d]
-    logs += k * math.log(x)
-    logs += d * math.log1p(-x)
-    logs[above] = -np.inf
-    return np.exp(logs, out=logs)
+    if m.size == 1:
+        row = _log_binomials(int(m[0, 0]))
+        k = np.arange(row.size, dtype=float)
+        row = row + k * math.log(x)
+        row += k[::-1] * math.log1p(-x)
+        return np.exp(row, out=row)[None]
+    if logs is None:  # built for this call, so the sums may overwrite it
+        rows, d, below = _log_triangle(degrees)
+        rows += np.arange(rows.shape[1], dtype=float) * math.log(x)
+        d *= math.log1p(-x)
+    else:
+        L, d, below = logs
+        rows = L + np.arange(L.shape[1], dtype=float) * math.log(x)
+        d = d * math.log1p(-x)
+    rows += d
+    live = rows > _EXP_ZERO
+    live &= below
+    np.exp(rows, out=rows, where=live)
+    np.copyto(rows, 0.0, where=~live)
+    return rows
 
 
 def _check_unit_array(xs) -> np.ndarray:
@@ -256,13 +313,13 @@ def _degree_rows(n: int, xs: np.ndarray):
 
 def basis_shifted(n: int, k: int, x: float, iv: Interval) -> float:
     """Bernstein basis transported to iv by the affine change of variable."""
-    if not iv.contains(x):
+    if not iv.contains(_not_bool(x, "x")):
         raise ValueError(f"{x} outside [{iv.alpha}, {iv.beta}]")
     return basis_classical(n, k, iv.to_unit(x))
 
 
 def basis_shifted_row(n: int, x: float, iv: Interval) -> np.ndarray:
-    if not iv.contains(x):
+    if not iv.contains(_not_bool(x, "x")):
         raise ValueError(f"{x} outside [{iv.alpha}, {iv.beta}]")
     return basis_row(n, iv.to_unit(x))
 

@@ -139,8 +139,8 @@ def test_chord_node_table_matches_loop(n):
 
 def test_scalar_node_table_matches_loop():
     """_scalar_values: f at the nodes of every row, call for call, kept in
-    the memo under (f, *key) with its distinct degrees and each row's index
-    among them, and a repeated key makes no call."""
+    the memo under (f, *key) with the degree of each row, and a repeated
+    key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
     loop_calls, expected = [], np.zeros((n + 1, 10))
@@ -153,10 +153,9 @@ def test_scalar_node_table_matches_loop():
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
         biv._scalar_values(g, ("test", n), n, lambda: counts, nodes, 0.3, 0.4)
-        table, degrees, rows = biv._node_tables[g, "test", n]
+        table, degrees = biv._node_tables[g, "test", n]
         assert table.tobytes() == expected.tobytes()
-        assert degrees.tolist() == [1, 2, 3, 4, 5, 9]
-        assert degrees[rows].tolist() == counts.tolist()
+        assert degrees.tolist() == counts.tolist()
         same_calls(calls, loop_calls)
 
 
