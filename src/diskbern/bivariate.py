@@ -272,14 +272,18 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
 
 # The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
 # domain or quadrant), and the log triangles of their row degrees, keyed by
-# (_log_triangle, the degrees' bytes), evicted least recently used once they
-# hold more than _NODE_TABLE_BYTES. Each table is the whole table of its
-# node set, whatever rows the point weights, with the degree of each row. f
-# is treated as a pure function of (x, y): a repeated key reuses the table
-# instead of calling f again.
+# the degrees' bytes, each memo least recently used first. Each table is the
+# whole table of its node set, whatever rows the point weights, with the
+# degree of each row. f is treated as a pure function of (x, y): a repeated
+# key reuses the table instead of calling f again. Both memos together hold
+# at most _NODE_TABLE_BYTES: tables go once the tables alone hold more, and
+# triangles once both do, so a triangle only takes room that no table needs
+# and the memo keeps the tables it would keep without triangles.
 _NODE_TABLE_BYTES = 8 << 20
 _node_tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _node_table_bytes = 0
+_log_triangles: OrderedDict[bytes, tuple[np.ndarray, ...]] = OrderedDict()
+_log_triangle_bytes = 0
 _node_table_lock = threading.Lock()
 
 
@@ -287,9 +291,10 @@ def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
     return sum(a.nbytes for a in arrays)
 
 
-def _node_table(key: tuple[Hashable, ...],
+def _node_table(memo: OrderedDict, key: Hashable,
                 build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """The arrays stored under key, or build() when there are none.
+    """The arrays stored in memo (_node_tables or _log_triangles) under key,
+    or build() when there are none.
 
     Built arrays are made read-only and stored unless they alone are larger
     than the bound. They are only stored when build returned, so a table
@@ -298,15 +303,15 @@ def _node_table(key: tuple[Hashable, ...],
     The arrays are built outside the lock, so two threads that miss the same
     key at once may each build them; both have the same bits.
     """
-    global _node_table_bytes
+    global _node_table_bytes, _log_triangle_bytes
     try:
         hash(key)
     except TypeError:
         return build()
     with _node_table_lock:
-        arrays = _node_tables.get(key)
+        arrays = memo.get(key)
         if arrays is not None:
-            _node_tables.move_to_end(key)
+            memo.move_to_end(key)
             return arrays
     arrays = build()
     for a in arrays:
@@ -314,46 +319,49 @@ def _node_table(key: tuple[Hashable, ...],
     if _nbytes(arrays) > _NODE_TABLE_BYTES:
         return arrays
     with _node_table_lock:
-        if key not in _node_tables:
-            _node_tables[key] = arrays
-            _node_table_bytes += _nbytes(arrays)
+        if key not in memo:
+            memo[key] = arrays
+            if memo is _node_tables:
+                _node_table_bytes += _nbytes(arrays)
+            else:
+                _log_triangle_bytes += _nbytes(arrays)
             while _node_table_bytes > _NODE_TABLE_BYTES:
                 _node_table_bytes -= _nbytes(_node_tables.popitem(last=False)[1])
+            while _node_table_bytes + _log_triangle_bytes > _NODE_TABLE_BYTES:
+                _log_triangle_bytes -= _nbytes(_log_triangles.popitem(last=False)[1])
     return arrays
-
-
-def _counted_table(f: Callable[[float, float], float], counts: np.ndarray,
-                   nodes: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """(F, counts): F = _node_values(f, counts, nodes) with its row degrees."""
-    return _node_values(f, counts, nodes), counts
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
                    counts: Callable[[], np.ndarray], nodes: Callable, s: float, t: float) -> float:
     """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t): the one
     evaluator of the scalar operators. F is _node_values(f, counts(), nodes),
-    read through _node_table under (f, *key), so the counts are built only
-    with F. Over the band of rows from the first to the last of nonzero
-    outer weight, the inner sums are one product of F with the rows
-    p^{n_k}(t) of one _row_triangle, summed along each row, and the outer
-    sum is one dot. A band of one degree broadcasts that degree's row. Any
-    other band slices its rows from the _log_triangle of the table's row
-    degrees, kept in the memo under them, so a hit only adds the t terms
-    and exponentiates; a triangle larger than the memo's bound is never
-    built whole, and each call builds the band's. The outer row comes
+    read through _node_table under (f, *key) with its row degrees, so the
+    counts are built only with F. Over the band of rows from the first to
+    the last of nonzero outer weight, the inner sums are one product of F
+    with the rows p^{n_k}(t) of one _row_triangle, summed along each row,
+    and the outer sum is one dot. A band of one degree broadcasts that
+    degree's row. Any other band slices its rows from the _log_triangle of
+    the table's row degrees, kept in the memo under them, so a hit only
+    adds the t terms and exponentiates; a triangle that does not fit beside
+    the stored tables is not built whole, and each call builds the band's.
+    That fit check reads the tables' bytes without the lock, since it only
+    chooses between two paths with the same bits. The outer row comes
     first, so an s outside [0, 1] raises before f is called."""
     outer = basis_row(n, s)
-    table, counts = _node_table((f, *key), lambda: _counted_table(f, counts(), nodes))
+    table, row_degrees = _node_table(_node_tables, (f, *key),
+                                     lambda: (_node_values(f, c := counts(), nodes), c))
     live = outer.nonzero()[0]
     band = slice(live[0], live[-1] + 1)
-    degrees = counts[band]
+    degrees = row_degrees[band]
     w = degrees.max() + 1
     if degrees.min() == w - 1:  # one row, broadcast over the band
         inner = _row_triangle(degrees[:1], t)
-    elif _log_triangle_nbytes(counts) <= _NODE_TABLE_BYTES:
-        logs = _node_table((_log_triangle, counts.tobytes()), lambda: _log_triangle(counts))
+    elif _log_triangle_nbytes(row_degrees) + _node_table_bytes <= _NODE_TABLE_BYTES:
+        logs = _node_table(_log_triangles, row_degrees.tobytes(),
+                           lambda: _log_triangle(row_degrees))
         inner = _row_triangle(degrees, t, [a[band, :w] for a in logs])
-    else:
+    else:  # it does not fit beside the tables, so only the band's rows are built
         inner = _row_triangle(degrees, t)
     return float(outer[band].dot((table[band, :w] * inner).sum(1)))
 

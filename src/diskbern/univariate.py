@@ -230,15 +230,10 @@ def _row_triangle(degrees: Sequence[int], x: float, logs=None) -> np.ndarray:
         row = row + k * math.log(x)
         row += k[::-1] * math.log1p(-x)
         return np.exp(row, out=row)[None]
-    if logs is None:  # built for this call, so the sums may overwrite it
-        rows, d, below = _log_triangle(degrees)
-        rows += np.arange(rows.shape[1], dtype=float) * math.log(x)
-        d *= math.log1p(-x)
-    else:
-        L, d, below = logs
-        rows = L + np.arange(L.shape[1], dtype=float) * math.log(x)
-        d = d * math.log1p(-x)
-    rows += d
+    fresh = logs is None  # built for this call, so the sums may overwrite it
+    L, d, below = _log_triangle(degrees) if fresh else logs
+    rows = np.add(L, np.arange(L.shape[1], dtype=float) * math.log(x), out=L if fresh else None)
+    rows += np.multiply(d, math.log1p(-x), out=d if fresh else None)
     live = rows > _EXP_ZERO
     live &= below
     np.exp(rows, out=rows, where=live)

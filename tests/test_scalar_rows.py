@@ -575,8 +575,7 @@ def test_axis_check_samples_each_quadrant_table_once(n, samples, hashable):
 
 
 def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch):
-    # a quadrant table at n = 5 holds 21 nodes in 6 rows, with their 6 degrees;
-    # at x = 0 the outer row weights row 0 alone, so no log triangle is stored
+    # a quadrant table at n = 5 holds 21 nodes in 6 rows, with their 6 degrees
     n, table_bytes = 5, 6 * 6 * 8 + 6 * 8
     monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", 3 * table_bytes)
     fs = [recording(const(float(i))) for i in range(5)]
@@ -584,7 +583,7 @@ def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch
     def f_calls(i):
         g, calls = fs[i]
         before = len(calls)
-        assert disk.quadrant_stancu(g, Quadrant.B1, n, 0.0, 0.1) == float(i)
+        assert disk.quadrant_stancu(g, Quadrant.B1, n, 0.1, 0.1) == float(i)
         assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
         assert biv._node_table_bytes <= biv._NODE_TABLE_BYTES
         return len(calls) - before

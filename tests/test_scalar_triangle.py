@@ -118,7 +118,21 @@ def run_quietly(jobs):
 
 
 def triangle_keys():
-    return [key for key in biv._node_tables if key[0] is uv._log_triangle]
+    return list(biv._log_triangles)
+
+
+def empty_memo(monkeypatch, bound):
+    monkeypatch.setattr(biv, "_node_tables", OrderedDict())
+    monkeypatch.setattr(biv, "_node_table_bytes", 0)
+    monkeypatch.setattr(biv, "_log_triangles", OrderedDict())
+    monkeypatch.setattr(biv, "_log_triangle_bytes", 0)
+    monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", bound)
+
+
+def check_memo_bytes(bound):
+    assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
+    assert biv._log_triangle_bytes == sum(map(biv._nbytes, biv._log_triangles.values()))
+    assert biv._node_table_bytes + biv._log_triangle_bytes <= bound
 
 
 def test_a_hit_builds_no_log_factorials(monkeypatch):
@@ -142,14 +156,14 @@ def test_one_triangle_per_degree_set_read_only_in_the_memo():
     run_quietly([(op, x, y) for h in (f, g) for op in scalar_ops(h, n) for x, y in POINTS])
     sets = degree_sets(n)
     # constant rows take one basis row; n-minus-k and k share {1..n} but not the order
-    assert sorted(key[1] for key in triangle_keys()) == sorted(
+    assert sorted(triangle_keys()) == sorted(
         sets[form].tobytes() for form in ("n-minus-k", "k", "quadrant"))
     for key in triangle_keys():
-        stored = biv._node_tables[key]
-        built = uv._log_triangle(np.frombuffer(key[1], dtype=np.int64))
+        stored = biv._log_triangles[key]
+        built = uv._log_triangle(np.frombuffer(key, dtype=np.int64))
         assert [a.tobytes() for a in stored] == [a.tobytes() for a in built]
         assert not any(a.flags.writeable for a in stored)
-    assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
+    check_memo_bytes(biv._NODE_TABLE_BYTES)
 
 
 @pytest.mark.parametrize("n", [5, 40])
@@ -160,17 +174,49 @@ def test_memo_bytes_stay_under_the_bound_and_an_oversized_triangle_is_not_stored
     triangle = uv._log_triangle_nbytes(degree_sets(n)["quadrant"])
     table = (n + 1) ** 2 * 8 + (n + 1) * 8  # F and its row degrees
     for bound in (triangle - 1, table + triangle, 2 * triangle + table, 3 * table):
-        monkeypatch.setattr(biv, "_node_tables", OrderedDict())
-        monkeypatch.setattr(biv, "_node_table_bytes", 0)
-        monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", bound)
+        empty_memo(monkeypatch, bound)
         for job, value in zip(jobs, expected):
             assert run_quietly([job]) == [value]
-            assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
-            assert biv._node_table_bytes <= bound
+            check_memo_bytes(bound)
             for key in triangle_keys():
-                assert uv._log_triangle_nbytes(np.frombuffer(key[1], dtype=np.int64)) <= bound
+                assert uv._log_triangle_nbytes(np.frombuffer(key, dtype=np.int64)) <= bound
         if bound < triangle:
             assert not triangle_keys()
+
+
+def counting(f):
+    calls = []
+
+    def g(x, y):
+        calls.append((x, y))
+        return f(x, y)
+    return g, calls
+
+
+@pytest.mark.parametrize("form", [1, 2, 3])  # n-minus-k, k and quadrant
+def test_a_triangle_never_evicts_a_table_so_a_repeated_call_makes_no_f_call(monkeypatch, form):
+    """A bound that holds the table, or the triangle, but not both: the
+    table stays, the triangle is built per call for the band, and a
+    repeated call at an interior point makes no f call. Two tables that fit
+    together both stay too, however the calls alternate."""
+    n, (x, y) = 40, POINTS[0]
+    table = (n + 1) ** 2 * 8 + (n + 1) * 8
+    triangle = uv._log_triangle_nbytes(degree_sets(n)["quadrant"])
+    for bound, hs in ((table + triangle - 1, [ex.builtin(1)]),
+                      (2 * table + triangle - 1, [ex.builtin(1), ex.builtin(2)])):
+        empty_memo(monkeypatch, bound)
+        recorded = [counting(h) for h in hs]
+        ops = [scalar_ops(g, n)[form] for g, _ in recorded]
+        first = run_quietly([(op, x, y) for op in ops])
+        assert all(calls for _, calls in recorded)
+        before = [len(calls) for _, calls in recorded]
+        for _ in range(3):
+            assert run_quietly([(op, x, y) for op in ops]) == first
+        assert [len(calls) for _, calls in recorded] == before
+        assert len(biv._node_tables) == len(hs) and not triangle_keys()
+        check_memo_bytes(bound)
+        fresh = run_quietly([(scalar_ops(h, n)[form], x, y) for h in hs])
+        assert fresh == first
 
 
 def test_threads_1_and_2_give_the_same_bits(monkeypatch):
@@ -179,9 +225,7 @@ def test_threads_1_and_2_give_the_same_bits(monkeypatch):
     serial = run_quietly(jobs)
     # a bound of two triangles and one table, so threads evict what others read
     bound = 2 * uv._log_triangle_nbytes(degree_sets(n)["quadrant"]) + (n + 1) ** 2 * 8
-    monkeypatch.setattr(biv, "_node_tables", OrderedDict())
-    monkeypatch.setattr(biv, "_node_table_bytes", 0)
-    monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", bound)
+    empty_memo(monkeypatch, bound)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -193,4 +237,4 @@ def test_threads_1_and_2_give_the_same_bits(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values())) <= bound
+    check_memo_bytes(bound)
