@@ -9,7 +9,6 @@ table with the inner rows of every degree.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import warnings
@@ -19,9 +18,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import (_EPS, _GRID, _SLACK, Interval, _degree, _log_triangle,
-                         _log_triangle_nbytes, _not_bool, _row_triangle, basis_row,
-                         bernstein, bernstein_shifted, check_f_values)
+from .univariate import (_EPS, _GRID, _NODE_TABLE_BYTES, _SLACK, Interval, _degree, _not_bool,
+                         _row_triangle, basis_row, bernstein, bernstein_shifted, check_f_values)
 
 __all__ = [
     "vectorized",
@@ -162,12 +160,12 @@ def lift(f: Callable[[float, float], float], dom: CurvilinearDomain) -> LiftedFi
     return LiftedField(f, dom)
 
 
-def _schedule_counts(sched: NodeSchedule, n: int) -> Callable[[], np.ndarray]:
-    """sched.counts(n), with its n_k warning, deferred to the call; ValueError
-    now unless sched is a NodeSchedule and n an integer >= 1."""
+def _checked_schedule(sched: NodeSchedule, n: int) -> int:
+    """n as an int; ValueError unless sched is a NodeSchedule and n an
+    integer >= 1."""
     if not isinstance(sched, NodeSchedule):
         raise ValueError(f"sched must be a NodeSchedule, got {sched!r}")
-    return functools.partial(sched.counts, _degree(n))
+    return _degree(n)
 
 
 def _checked_point(dom: CurvilinearDomain, x: float, y: float) -> None:
@@ -271,19 +269,13 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
 
 
 # The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
-# domain or quadrant), and the log triangles of their row degrees, keyed by
-# the degrees' bytes, each memo least recently used first. Each table is the
-# whole table of its node set, whatever rows the point weights, with the
-# degree of each row. f is treated as a pure function of (x, y): a repeated
-# key reuses the table instead of calling f again. Both memos together hold
-# at most _NODE_TABLE_BYTES: tables go once the tables alone hold more, and
-# triangles once both do, so a triangle only takes room that no table needs
-# and the memo keeps the tables it would keep without triangles.
-_NODE_TABLE_BYTES = 8 << 20
+# domain or quadrant) and evicted least recently used once they hold more
+# than _NODE_TABLE_BYTES. Each is the whole table of its node set, whatever
+# rows the point weights, with the degree of each row. f is treated as a
+# pure function of (x, y): a repeated key reuses the table instead of
+# calling f again.
 _node_tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _node_table_bytes = 0
-_log_triangles: OrderedDict[bytes, tuple[np.ndarray, ...]] = OrderedDict()
-_log_triangle_bytes = 0
 _node_table_lock = threading.Lock()
 
 
@@ -291,10 +283,9 @@ def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
     return sum(a.nbytes for a in arrays)
 
 
-def _node_table(memo: OrderedDict, key: Hashable,
+def _node_table(key: tuple[Hashable, ...],
                 build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """The arrays stored in memo (_node_tables or _log_triangles) under key,
-    or build() when there are none.
+    """The arrays stored under key, or build() when there are none.
 
     Built arrays are made read-only and stored unless they alone are larger
     than the bound. They are only stored when build returned, so a table
@@ -303,15 +294,15 @@ def _node_table(memo: OrderedDict, key: Hashable,
     The arrays are built outside the lock, so two threads that miss the same
     key at once may each build them; both have the same bits.
     """
-    global _node_table_bytes, _log_triangle_bytes
+    global _node_table_bytes
     try:
         hash(key)
     except TypeError:
         return build()
     with _node_table_lock:
-        arrays = memo.get(key)
+        arrays = _node_tables.get(key)
         if arrays is not None:
-            memo.move_to_end(key)
+            _node_tables.move_to_end(key)
             return arrays
     arrays = build()
     for a in arrays:
@@ -319,51 +310,39 @@ def _node_table(memo: OrderedDict, key: Hashable,
     if _nbytes(arrays) > _NODE_TABLE_BYTES:
         return arrays
     with _node_table_lock:
-        if key not in memo:
-            memo[key] = arrays
-            if memo is _node_tables:
-                _node_table_bytes += _nbytes(arrays)
-            else:
-                _log_triangle_bytes += _nbytes(arrays)
+        if key not in _node_tables:
+            _node_tables[key] = arrays
+            _node_table_bytes += _nbytes(arrays)
             while _node_table_bytes > _NODE_TABLE_BYTES:
                 _node_table_bytes -= _nbytes(_node_tables.popitem(last=False)[1])
-            while _node_table_bytes + _log_triangle_bytes > _NODE_TABLE_BYTES:
-                _log_triangle_bytes -= _nbytes(_log_triangles.popitem(last=False)[1])
     return arrays
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
-                   counts: Callable[[], np.ndarray], nodes: Callable, s: float, t: float) -> float:
+                   nodes: Callable[[], tuple[np.ndarray, Callable]], s: float, t: float) -> float:
     """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t): the one
-    evaluator of the scalar operators. F is _node_values(f, counts(), nodes),
-    read through _node_table under (f, *key) with its row degrees, so the
-    counts are built only with F. Over the band of rows from the first to
-    the last of nonzero outer weight, the inner sums are one product of F
-    with the rows p^{n_k}(t) of one _row_triangle, summed along each row,
-    and the outer sum is one dot. A band of one degree broadcasts that
-    degree's row. Any other band slices its rows from the _log_triangle of
-    the table's row degrees, kept in the memo under them, so a hit only
-    adds the t terms and exponentiates; a triangle that does not fit beside
-    the stored tables is not built whole, and each call builds the band's.
-    That fit check reads the tables' bytes without the lock, since it only
-    chooses between two paths with the same bits. The outer row comes
-    first, so an s outside [0, 1] raises before f is called."""
+    evaluator of the scalar operators. nodes() gives the row degrees n_k
+    and the node map, and F is _node_values(f, n_k, node map), read through
+    _node_table under (f, *key) with the row degrees, so nodes is called
+    only when F is built. Over the band of rows from the first to the last
+    of nonzero outer weight, the inner sums are one product of F with the
+    rows p^{n_k}(t) of one _row_triangle, summed along each row, and the
+    outer sum is one dot; a band of one degree broadcasts that degree's
+    row. The outer row comes first, so an s outside [0, 1] raises before f
+    is called."""
+    def build():
+        counts, node_map = nodes()
+        return _node_values(f, counts, node_map), counts
+
     outer = basis_row(n, s)
-    table, row_degrees = _node_table(_node_tables, (f, *key),
-                                     lambda: (_node_values(f, c := counts(), nodes), c))
+    table, row_degrees = _node_table((f, *key), build)
     live = outer.nonzero()[0]
     band = slice(live[0], live[-1] + 1)
     degrees = row_degrees[band]
     w = degrees.max() + 1
     if degrees.min() == w - 1:  # one row, broadcast over the band
-        inner = _row_triangle(degrees[:1], t)
-    elif _log_triangle_nbytes(row_degrees) + _node_table_bytes <= _NODE_TABLE_BYTES:
-        logs = _node_table(_log_triangles, row_degrees.tobytes(),
-                           lambda: _log_triangle(row_degrees))
-        inner = _row_triangle(degrees, t, [a[band, :w] for a in logs])
-    else:  # it does not fit beside the tables, so only the band's rows are built
-        inner = _row_triangle(degrees, t)
-    return float(outer[band].dot((table[band, :w] * inner).sum(1)))
+        degrees = degrees[:1]
+    return float(outer[band].dot((table[band, :w] * _row_triangle(degrees, t)).sum(1)))
 
 
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,14 +357,9 @@ def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, n
 
 def _row_nodes(dom: CurvilinearDomain, n: int) -> Callable:
     """The node map (k, j, n_k) -> (x_k, phi1(x_k) + (phi2 - phi1)(x_k) j / n_k)
-    of stancu at degree n; its first call calls _node_map(dom, n), which
-    later calls reuse."""
-    node_map = functools.cache(lambda: _node_map(dom, n))
-
-    def nodes(k, j, nk):
-        xk, width, low = node_map()
-        return xk[k], width[k] * j / nk + low[k]
-    return nodes
+    of stancu at degree n, from one _node_map(dom, n)."""
+    xk, width, low = _node_map(dom, n)
+    return lambda k, j, nk: (xk[k], width[k] * j / nk + low[k])
 
 
 def stancu(
@@ -400,15 +374,17 @@ def stancu(
     that dom.contains accepts within its tolerance outside [a, b] is
     evaluated at the nearer end, as ball_stancu does."""
     _checked_point(dom, x, y)
-    counts = _schedule_counts(sched, n)
+    n = _checked_schedule(sched, n)
     x = min(max(x, dom.a), dom.b)
-    return _scalar_values(f, ("stancu", n, sched, dom), n, counts, _row_nodes(dom, n),
+    return _scalar_values(f, ("stancu", n, sched, dom), n,
+                          lambda: (sched.counts(n), _row_nodes(dom, n)),
                           dom.x_interval.to_unit(x), _inner_t(dom, x, y))
 
 
 def stancu_nodes(dom: CurvilinearDomain, n: int, sched: NodeSchedule) -> StancuNodes:
     """Node mesh (x_k, y_{k,j}) of the operator; y rows span [phi1, phi2]."""
-    counts = _schedule_counts(sched, n)()
+    n = _checked_schedule(sched, n)
+    counts = sched.counts(n)
     j = np.arange(counts.max() + 1)
     x, y = _row_nodes(dom, n)(np.arange(n + 1)[:, None], j, counts[:, None])
     # row k keeps the j of np.arange(n_k + 1)
@@ -428,7 +404,8 @@ def stancu_determinant(
     Intended as a small-n cross-check; O(n^3) per evaluation.
     """
     _checked_point(dom, x, y)
-    counts = _schedule_counts(sched, n)()
+    n = _checked_schedule(sched, n)
+    counts = sched.counts(n)
     t = _inner_t(dom, x, y)
     F = lift(f, dom)
     m = np.zeros((n + 2, n + 2))
@@ -472,7 +449,8 @@ def monomial_image(
             + bernstein_shifted(lambda u: u * dom.phi1(u), n, x, iv)
         )
     if which == "y2":
-        counts = _schedule_counts(sched, n)()
+        _checked_schedule(sched, n)
+        counts = sched.counts(n)
         if sched.kind not in ("n-minus-k", "k"):
             raise ValueError("y2 closed form requires the n-minus-k or k schedule")
         outer = basis_row(n, iv.to_unit(x))

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bivariate import (CurvilinearDomain, NodeSchedule, _node_values, _scalar_values,
-                        _schedule_counts, stancu)
+from .bivariate import (CurvilinearDomain, NodeSchedule, _checked_schedule, _node_values,
+                        _scalar_values, stancu)
 from .univariate import _EPS, _SLACK, Interval, _degree, _not_bool, basis_row, check_f_values
 
 __all__ = [
@@ -94,7 +94,14 @@ def check_disk_point(x: float, y: float):
 
 def _checked_points(pts) -> np.ndarray:
     """pts as an (m, 2) float array; ValueError unless every point is finite
-    and inside the closed unit disk (with slack)."""
+    and inside the closed unit disk (with slack), and first if a coordinate
+    is a bool, which would read as 1 or 0: a bool array, or a bool, Python's
+    or numpy's, anywhere in a list, a tuple or an object array."""
+    if not isinstance(pts, np.ndarray):
+        pts = np.asarray(pts, dtype=object)  # each coordinate as given
+    if pts.dtype == bool or pts.dtype == object and not {bool, np.bool_}.isdisjoint(
+            map(type, pts.flat)):
+        raise ValueError("points must be numbers, got a bool coordinate")
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1 and pts.size in (0, 2):  # no points, or one (x, y) pair
         pts = pts.reshape(-1, 2)
@@ -138,9 +145,10 @@ def ball_stancu(
     At x = +-1 the chord collapses; the value is the limit f(+-1, 0).
     """
     check_disk_point(x, y)
+    n = _checked_schedule(sched, n)
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > _EPS else 0.5
-    return _scalar_values(f, ("ball", n, sched), n, _schedule_counts(sched, n), _chord_nodes(n),
+    return _scalar_values(f, ("ball", n, sched), n, lambda: (sched.counts(n), _chord_nodes(n)),
                           (min(max(x, -1.0), 1.0) + 1.0) / 2.0, min(max(t, 0.0), 1.0))
 
 
@@ -196,8 +204,8 @@ def _quadrant_value(f: Callable[[float, float], float], q: Quadrant, n: int,
     n = _degree(n)
     u = min(x * x, 1.0)
     t = min(max(y * y / (1.0 - u), 0.0), 1.0) if 1.0 - u > _EPS else 0.0
-    return _scalar_values(f, ("quadrant", n, q), n, lambda: n - np.arange(n + 1),
-                          _quadrant_nodes(n, q), u, t)
+    return _scalar_values(f, ("quadrant", n, q), n,
+                          lambda: (n - np.arange(n + 1), _quadrant_nodes(n, q)), u, t)
 
 
 def _quadrant_coordinates(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,6 +46,8 @@ _GRID = 1024
 # exp(-744.44)), and numpy's exp takes 13 to 18 times as long on such x as
 # on x with a normal result.
 _EXP_ZERO = -746.0
+# Bytes the scalar node-table memo (bivariate._node_table) holds at most.
+_NODE_TABLE_BYTES = 8 << 20
 
 
 def _not_bool(x, name: str):
@@ -182,63 +184,70 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return _row_triangle([_degree(n, 0)], x)[0]
 
 
-def _log_triangle(degrees: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The part of _row_triangle(degrees, x) that does not depend on x, one
-    row per degree m and one column per k <= max(degrees): (L, d, below)
-    with d = max(m - k, 0) as floats, L = (log m! - log k!) - log d! and
-    below = k <= m. Row m of d, of log d! and of below is a window of one
-    sequence in m - k, so each is built by copying rows, not by a gather.
+_log_binomial_kept = (np.empty((0, 0)), np.empty((0, 0), np.int8))  # grown on first use
+
+
+def _log_binomial_block(m: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, d) for the degrees m (each below w) and the columns k < w:
+    L[i, k] = (log m_i! - log k!) - log (m_i - k)!, as in _log_binomials(m_i),
+    and -inf right of column m_i; d[i, k] = m_i - k in the smallest signed
+    integer type that holds it, which a Python float multiplies into float64."""
+    dtype = np.min_scalar_type(-w)
+    d = np.subtract.outer(m.astype(dtype), np.arange(w, dtype=dtype))
+    lf = log_factorials(w - 1)
+    L = np.subtract.outer(lf[m], lf)
+    # window w - 1 - m_i of lf[w - 1], ..., lf[0], ..., lf[w - 1] is lf[|m_i - k|]
+    L -= np.lib.stride_tricks.sliding_window_view(np.concatenate((lf[::-1], lf[1:])), w)[w - 1 - m]
+    L[d < 0] = -np.inf
+    return L, d
+
+
+def _log_binomial_rows(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_log_binomial_block(degrees, max(degrees) + 1), as new arrays. They
+    are gathered from one read-only table, the block of the degrees
+    0..size - 1, kept for every caller while its L fits in _NODE_TABLE_BYTES,
+    to degree 1023 (the memo keeps node tables to n = 1022); a larger degree
+    gets its rows built for the call alone, leaving the kept table as it is.
+    The kept table grows as log_factorials does, by swapping in a new one.
     """
-    m = np.asarray(degrees)
-    top = int(m.max())
-    lf = log_factorials(top)
-
-    def windows(by_m_minus_k, above):  # (m, k): by_m_minus_k[top - m + k] if k <= m, else above
-        sequence = np.concatenate((by_m_minus_k, np.full(top, above)))
-        # row i of this view is sequence[i:i + top + 1]; numpy checks it fits
-        return np.ndarray((top + 1, top + 1), sequence.dtype, sequence,
-                          strides=2 * sequence.strides)[top - m]
-
-    logs = lf[m, None] - lf
-    logs -= windows(lf[::-1], lf[0])
-    return logs, windows(np.arange(top, -1, -1.0), 0.0), windows(np.ones(top + 1, bool), False)
-
-
-def _log_triangle_nbytes(degrees: Sequence[int]) -> int:
-    """Bytes of _log_triangle(degrees): two floats and a bool per entry."""
-    degrees = np.asarray(degrees)
-    return degrees.size * (int(degrees.max()) + 1) * 17
+    global _log_binomial_kept
+    w = int(degrees.max()) + 1
+    most = math.isqrt(_NODE_TABLE_BYTES // 8)
+    if w > most:
+        return _log_binomial_block(degrees, w)
+    kept = _log_binomial_kept
+    if w > len(kept[0]):
+        size = min(max(w, 2 * len(kept[0])), most)
+        kept = _log_binomial_block(np.arange(size), size)
+        for a in kept:
+            a.flags.writeable = False
+        _log_binomial_kept = kept
+    return kept[0][degrees, :w], kept[1][degrees, :w]
 
 
-def _row_triangle(degrees: Sequence[int], x: float, logs=None) -> np.ndarray:
+def _row_triangle(degrees: Sequence[int], x: float) -> np.ndarray:
     """basis_row(m, x) for each m in degrees as the rows of one array, zero
-    right of column m; the one-hot rows at x = 0 and x = 1. Entry (m, k) is
-    exp((L + k log x) + d log(1 - x)) with L and d from logs, which is
-    _log_triangle(degrees) (built here when None) or its rows for these
-    degrees cut to width max(degrees) + 1. One degree takes L from
-    _log_binomials(m). The exp skips the entries right of column m and
-    those below _EXP_ZERO, which are set to 0.
+    right of column m; the one-hot rows at x = 0 and x = 1. One degree takes
+    its row from _log_binomials(m); several take theirs from
+    _log_binomial_rows, and entry (m, k) is exp((L + k log x) + d log(1 - x)),
+    exponentiated only where that sum is above _EXP_ZERO (so neither right
+    of column m, where L is -inf, nor where the exp is 0) and 0 elsewhere.
     """
     x = _check_unit(x)
-    m = np.asarray(degrees)[:, None]
+    m = np.asarray(degrees)
     if x == 0.0 or x == 1.0:
         k = np.arange(int(m.max()) + 1)
-        return (k == (m if x == 1.0 else 0 * m)).astype(float)
+        return (k == (m[:, None] if x == 1.0 else 0 * m[:, None])).astype(float)
     if m.size == 1:
-        row = _log_binomials(int(m[0, 0]))
+        row = _log_binomials(int(m[0]))
         k = np.arange(row.size, dtype=float)
         row = row + k * math.log(x)
         row += k[::-1] * math.log1p(-x)
         return np.exp(row, out=row)[None]
-    fresh = logs is None  # built for this call, so the sums may overwrite it
-    L, d, below = _log_triangle(degrees) if fresh else logs
-    rows = np.add(L, np.arange(L.shape[1], dtype=float) * math.log(x), out=L if fresh else None)
-    rows += np.multiply(d, math.log1p(-x), out=d if fresh else None)
-    live = rows > _EXP_ZERO
-    live &= below
-    np.exp(rows, out=rows, where=live)
-    np.copyto(rows, 0.0, where=~live)
-    return rows
+    rows, d = _log_binomial_rows(m)
+    rows += np.arange(rows.shape[1], dtype=float) * math.log(x)
+    rows += d * math.log1p(-x)
+    return np.exp(rows, out=np.zeros(rows.shape), where=rows > _EXP_ZERO)
 
 
 def _check_unit_array(xs) -> np.ndarray:

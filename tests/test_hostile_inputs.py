@@ -50,6 +50,16 @@ def test_voronovskaja_probe_checks_its_point_before_calling_f(point, message):
         biv.voronovskaja_probe(never_called, biv.UNIT_SQUARE, point, [3])
 
 
+@pytest.mark.parametrize("pts", [[(True, False)], np.array([[True, False]]), [(0.1, np.True_)],
+                                 ((0.0, 0.2), (False, 0.1)), (True, 0.0),
+                                 [np.array([0.1, 0.2]), np.array([np.False_, 0.0], dtype=object)]],
+                         ids=["list", "bool-array", "numpy-bool", "tuple", "pair", "object-row"])
+@pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
+def test_a_bool_point_coordinate_raises_naming_the_points(kind, pts):
+    with pytest.raises(ValueError, match="^points must be numbers, got a bool coordinate$"):
+        ex.disk_operator(kind, 5)(never_called, pts)
+
+
 def test_a_bool_interval_endpoint_raises_naming_it():
     with pytest.raises(ValueError, match="^alpha must be a number, got True$"):
         uv.Interval(True, 2)
@@ -59,6 +69,11 @@ def test_a_bool_interval_endpoint_raises_naming_it():
 
 def test_numbers_of_every_kind_stay_coordinates():
     assert uv.basis_row(3, 1).tobytes() == uv.basis_row(3, 1.0).tobytes()
+    op, f = ex.disk_operator("Cbar", 5), ex.builtin(1)
+    expected = op(f, np.array([[1.0, 0.0], [0.25, -0.5]])).tobytes()
+    for pts in ([(1, 0), (0.25, -0.5)], [(np.int64(1), np.float32(0.0)), (0.25, -0.5)],
+                np.array([[1, 0], [0.25, -0.5]], dtype=object)):
+        assert op(f, pts).tobytes() == expected
     assert uv.basis_row(3, np.float64(0.25)).tobytes() == uv.basis_row(3, 0.25).tobytes()
     assert uv.Interval(np.int64(0), 2).width == 2
 

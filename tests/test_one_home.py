@@ -26,7 +26,7 @@ def scalar_maps(pts):
     without calling f."""
     seen = []
 
-    def spy(f, key, n, counts, nodes, s, t):
+    def spy(f, key, n, nodes, s, t):
         seen.append((s, t, disk._QUADRANTS.index(key[2]) if key[0] == "quadrant" else -1))
         return 0.0
 

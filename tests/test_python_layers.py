@@ -152,7 +152,7 @@ def test_scalar_node_table_matches_loop():
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
-        biv._scalar_values(g, ("test", n), n, lambda: counts, nodes, 0.3, 0.4)
+        biv._scalar_values(g, ("test", n), n, lambda: (counts, nodes), 0.3, 0.4)
         table, degrees = biv._node_tables[g, "test", n]
         assert table.tobytes() == expected.tobytes()
         assert degrees.tolist() == counts.tolist()

@@ -325,8 +325,8 @@ def parent_stancu(f, dom, n, sched, x, y):
     s = dom.x_interval.to_unit(x)
     xk = dom.x_interval.from_unit(np.arange(n + 1) / n)
     width, low = np.array([(dom.width(v), dom.phi1(v)) for v in xk.tolist()]).T
-    return biv._scalar_values(f, ("parent_stancu", n, sched, dom), n, lambda: counts,
-                              lambda k, j, nk: (xk[k], width[k] * j / nk + low[k]),
+    return biv._scalar_values(f, ("parent_stancu", n, sched, dom), n,
+                              lambda: (counts, lambda k, j, nk: (xk[k], width[k] * j / nk + low[k])),
                               s, biv._inner_t(dom, x, y))
 
 
@@ -559,6 +559,36 @@ def test_repeated_call_reuses_the_node_table(name, hashable):
     assert calls[len(sampled):] == ([] if hashable else sampled)
 
 
+def test_a_hit_builds_no_node_map_and_no_counts(monkeypatch):
+    """What only a miss needs, the row degrees and the node map, is built
+    inside the miss: a hit calls none of the functions that build them."""
+    calls = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def call(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((biv, "_node_map"), (biv, "_row_nodes"), (NodeSchedule, "counts"),
+                        (disk, "_chord_nodes"), (disk, "_quadrant_nodes")):
+        counted(owner, name)
+    f = ex.builtin(2)
+    for op, built in ((lambda x, y: biv.stancu(f, DISK, 6, NodeSchedule.constant(4), x, y),
+                       ["counts", "_row_nodes", "_node_map"]),
+                      (lambda x, y: disk.ball_stancu(f, 6, NodeSchedule.constant(3), x, y),
+                       ["counts", "_chord_nodes"]),
+                      (lambda x, y: disk.piecewise_stancu_disk(f, 6, x, y), ["_quadrant_nodes"])):
+        calls.clear()
+        first = op(0.3, -0.2)
+        assert calls == built
+        calls.clear()
+        assert bits(op(0.3, -0.2)) == bits(first) and bits(op(0.1, -0.5)) != bits(first)
+        assert calls == []
+
+
 @pytest.mark.parametrize("n, samples", [(3, 4), (5, 1), (40, 64)])
 @pytest.mark.parametrize("hashable", [True, False], ids=["hashable", "unhashable"])
 def test_axis_check_samples_each_quadrant_table_once(n, samples, hashable):
@@ -739,9 +769,10 @@ def test_scalar_values_within_1e_13_of_a_40_digit_sum(form, n, monkeypatch):
     from, at the (s, t) its operator passed to the evaluator."""
     seen = []
 
-    def spy(f, key, n, counts, nodes, s, t):
-        seen.append((counts(), s, t, biv._node_values(f, counts(), nodes)))
-        return evaluator(f, key, n, counts, nodes, s, t)
+    def spy(f, key, n, nodes, s, t):
+        counts, node_map = nodes()
+        seen.append((counts, s, t, biv._node_values(f, counts, node_map)))
+        return evaluator(f, key, n, nodes, s, t)
 
     evaluator = biv._scalar_values
     monkeypatch.setattr(disk, "_scalar_values", spy)

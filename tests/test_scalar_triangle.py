@@ -1,15 +1,15 @@
-"""The scalar evaluator's inner rows: univariate._row_triangle from the
-cached _log_triangle of a node table's row degrees, against the formula it
-replaced (kept here only as the oracle), and the triangles' place in the
-node-table memo (bivariate._node_table): a hit builds no log-factorials,
-the memo stays under its byte bound, and threads read the parent's bits.
+"""The scalar evaluator's inner rows: univariate._row_triangle, whose rows
+of several degrees come from the one log-binomial table every caller
+shares (univariate._log_binomial_rows), against the formula it replaced
+(kept here only as the oracle); and that table: row m is _log_binomials(m),
+a hit builds no log-factorials, a degree past the kept table leaves it as
+it is, and threads that grow it at once read the serial bits.
 """
 
 import math
 import random
 import sys
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -51,42 +51,70 @@ T_VALUES = [0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16] + [_rng.random() for _ in ran
 
 
 def bands(n):
-    """Whole, a middle band and the last row; n = 1000 takes two of them."""
+    """Whole, a middle band and the last row; n >= 1000 takes the first two."""
     out = [slice(0, n + 1), slice(n // 3, 2 * n // 3 + 1), slice(n, n + 1)]
     return out[:2] if n >= 1000 else out
 
 
+KEPT = math.isqrt(uv._NODE_TABLE_BYTES // 8)  # rows of the largest kept table
+EMPTY = (np.empty((0, 0)), np.empty((0, 0), np.int8))  # the shared table before any caller grew it
+
+
+@pytest.fixture
+def no_kept_table(monkeypatch):
+    monkeypatch.setattr(uv, "_log_binomial_kept", EMPTY)
+
+
 @pytest.mark.parametrize("n, form", [(n, form) for n in (0, 1, 2, 5, 40, 120, 200, 320, 1000)
                                      for form in ("constant", "n-minus-k", "k", "quadrant")
-                                     if n or form == "quadrant"])  # schedules start at n = 1
-def test_cached_rows_bit_equal_to_the_old_formula(n, form):
+                                     if n or form == "quadrant"]  # schedules start at n = 1
+                         + [(KEPT + 76, "n-minus-k")])  # past the kept table
+def test_rows_bit_equal_to_the_old_formula(n, form):
     counts = degree_sets(n)[form]
-    logs = uv._log_triangle(counts)
-    assert [a.dtype for a in logs] == [np.float64, np.float64, np.bool_]
     for t in T_VALUES:
         for band in bands(n):
             degrees = counts[band]
-            w = int(degrees.max()) + 1
-            expected = old_row_triangle(degrees, t).tobytes()
-            assert uv._row_triangle(degrees, t, [a[band, :w] for a in logs]).tobytes() == expected
-            if band.start or n < 1000:  # built for the band alone, as past the memo bound
-                assert uv._row_triangle(degrees, t).tobytes() == expected
+            assert uv._row_triangle(degrees, t).tobytes() == old_row_triangle(degrees, t).tobytes()
         for m in {int(counts[0]), int(counts[-1])}:  # one degree: _log_binomials, one row
             assert uv._row_triangle([m], t).tobytes() == old_row_triangle([m], t).tobytes()
             assert uv.basis_row(m, t).tobytes() == old_row_triangle([m], t)[0].tobytes()
 
 
-def test_log_triangle_of_repeated_and_unsorted_degrees():
+def test_rows_of_repeated_and_unsorted_degrees():
     degrees = [3, 0, 7, 7, 1, 3]
-    L, d, below = uv._log_triangle(degrees)
-    m, k = np.array(degrees)[:, None], np.arange(8)
-    lf = uv.log_factorials(7)
-    assert np.array_equal(below, k <= m)
-    assert np.array_equal(d, np.maximum(m - k, 0).astype(float))
-    assert L.tobytes() == ((lf[m] - lf[k]) - lf[np.maximum(m - k, 0)]).tobytes()
-    assert uv._log_triangle_nbytes(degrees) == sum(a.nbytes for a in (L, d, below))
     for t in T_VALUES:
         assert uv._row_triangle(degrees, t).tobytes() == old_row_triangle(degrees, t).tobytes()
+
+
+@pytest.mark.parametrize("top", [1000, KEPT + 76])  # kept, and built for the call alone
+def test_row_m_of_the_table_is_log_binomials(no_kept_table, top):
+    m, k = np.arange(top + 1), np.arange(top + 1)
+    L, d = uv._log_binomial_rows(m)
+    assert L.shape == d.shape == (top + 1, top + 1) and d.dtype == np.int16
+    assert L.flags.writeable and d.flags.writeable  # new arrays, whichever the source
+    for i in (range(top + 1) if top == 1000 else (0, 1, 500, KEPT, top)):
+        assert L[i, :i + 1].tobytes() == uv._log_binomials(i).tobytes(), i
+        assert np.isneginf(L[i, i + 1:]).all()
+        assert np.array_equal(d[i], i - k)
+
+
+def test_the_table_grows_by_swapping_and_stops_at_the_memo_bound(no_kept_table):
+    uv._log_binomial_rows(np.array([40, 3]))
+    small = uv._log_binomial_kept
+    assert small[0].shape == (41, 41) and small[1].dtype == np.int8
+    assert not (small[0].flags.writeable or small[1].flags.writeable)
+    uv._log_binomial_rows(np.array([30, 2]))
+    assert uv._log_binomial_kept is small
+    uv._log_binomial_rows(np.array([41, 0]))  # doubles, as log_factorials does
+    assert uv._log_binomial_kept[0].shape == (82, 82)
+    assert small[0].shape == (41, 41)  # a reader of the old table keeps a whole one
+    uv._log_binomial_rows(np.array([KEPT - 1, 0]))
+    kept = uv._log_binomial_kept
+    assert kept[0].nbytes == uv._NODE_TABLE_BYTES and kept[1].dtype == np.int16
+    L, d = uv._log_binomial_rows(np.array([KEPT, 7, KEPT - 1]))
+    assert uv._log_binomial_kept is kept
+    assert L[1:, :KEPT].tobytes() == kept[0][[7, KEPT - 1]].tobytes()
+    assert d[1:, :KEPT].tobytes() == kept[1][[7, KEPT - 1]].tobytes()
 
 
 def _root(x):
@@ -117,24 +145,6 @@ def run_quietly(jobs):
         return [bits(op(x, y)) for op, x, y in jobs]
 
 
-def triangle_keys():
-    return list(biv._log_triangles)
-
-
-def empty_memo(monkeypatch, bound):
-    monkeypatch.setattr(biv, "_node_tables", OrderedDict())
-    monkeypatch.setattr(biv, "_node_table_bytes", 0)
-    monkeypatch.setattr(biv, "_log_triangles", OrderedDict())
-    monkeypatch.setattr(biv, "_log_triangle_bytes", 0)
-    monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", bound)
-
-
-def check_memo_bytes(bound):
-    assert biv._node_table_bytes == sum(map(biv._nbytes, biv._node_tables.values()))
-    assert biv._log_triangle_bytes == sum(map(biv._nbytes, biv._log_triangles.values()))
-    assert biv._node_table_bytes + biv._log_triangle_bytes <= bound
-
-
 def test_a_hit_builds_no_log_factorials(monkeypatch):
     n, f = 40, ex.builtin(3)
     jobs = [(op, x, y) for op in scalar_ops(f, n) for x, y in POINTS]
@@ -151,90 +161,34 @@ def test_a_hit_builds_no_log_factorials(monkeypatch):
     assert calls == []
 
 
-def test_one_triangle_per_degree_set_read_only_in_the_memo():
-    n, f, g = 40, ex.builtin(1), ex.builtin(2)
-    run_quietly([(op, x, y) for h in (f, g) for op in scalar_ops(h, n) for x, y in POINTS])
-    sets = degree_sets(n)
-    # constant rows take one basis row; n-minus-k and k share {1..n} but not the order
-    assert sorted(triangle_keys()) == sorted(
-        sets[form].tobytes() for form in ("n-minus-k", "k", "quadrant"))
-    for key in triangle_keys():
-        stored = biv._log_triangles[key]
-        built = uv._log_triangle(np.frombuffer(key, dtype=np.int64))
-        assert [a.tobytes() for a in stored] == [a.tobytes() for a in built]
-        assert not any(a.flags.writeable for a in stored)
-    check_memo_bytes(biv._NODE_TABLE_BYTES)
+def test_a_hit_after_the_table_grew_to_n_1000_has_the_same_bits(no_kept_table):
+    f = ex.builtin(1)
+    jobs = [(op, x, y) for op in scalar_ops(f, 40) for x, y in POINTS]
+    before = run_quietly(jobs)
+    assert uv._log_binomial_kept[0].shape == (41, 41)
+    run_quietly([(op, *POINTS[0]) for op in scalar_ops(f, 1000)[1:]])
+    assert len(uv._log_binomial_kept[0]) > 600
+    assert run_quietly(jobs) == before
 
 
-@pytest.mark.parametrize("n", [5, 40])
-def test_memo_bytes_stay_under_the_bound_and_an_oversized_triangle_is_not_stored(monkeypatch, n):
-    f = ex.builtin(4)
-    jobs = [(op, x, y) for x, y in POINTS for op in scalar_ops(f, n)]
-    expected = run_quietly(jobs)
-    triangle = uv._log_triangle_nbytes(degree_sets(n)["quadrant"])
-    table = (n + 1) ** 2 * 8 + (n + 1) * 8  # F and its row degrees
-    for bound in (triangle - 1, table + triangle, 2 * triangle + table, 3 * table):
-        empty_memo(monkeypatch, bound)
-        for job, value in zip(jobs, expected):
-            assert run_quietly([job]) == [value]
-            check_memo_bytes(bound)
-            for key in triangle_keys():
-                assert uv._log_triangle_nbytes(np.frombuffer(key, dtype=np.int64)) <= bound
-        if bound < triangle:
-            assert not triangle_keys()
-
-
-def counting(f):
-    calls = []
-
-    def g(x, y):
-        calls.append((x, y))
-        return f(x, y)
-    return g, calls
-
-
-@pytest.mark.parametrize("form", [1, 2, 3])  # n-minus-k, k and quadrant
-def test_a_triangle_never_evicts_a_table_so_a_repeated_call_makes_no_f_call(monkeypatch, form):
-    """A bound that holds the table, or the triangle, but not both: the
-    table stays, the triangle is built per call for the band, and a
-    repeated call at an interior point makes no f call. Two tables that fit
-    together both stay too, however the calls alternate."""
-    n, (x, y) = 40, POINTS[0]
-    table = (n + 1) ** 2 * 8 + (n + 1) * 8
-    triangle = uv._log_triangle_nbytes(degree_sets(n)["quadrant"])
-    for bound, hs in ((table + triangle - 1, [ex.builtin(1)]),
-                      (2 * table + triangle - 1, [ex.builtin(1), ex.builtin(2)])):
-        empty_memo(monkeypatch, bound)
-        recorded = [counting(h) for h in hs]
-        ops = [scalar_ops(g, n)[form] for g, _ in recorded]
-        first = run_quietly([(op, x, y) for op in ops])
-        assert all(calls for _, calls in recorded)
-        before = [len(calls) for _, calls in recorded]
-        for _ in range(3):
-            assert run_quietly([(op, x, y) for op in ops]) == first
-        assert [len(calls) for _, calls in recorded] == before
-        assert len(biv._node_tables) == len(hs) and not triangle_keys()
-        check_memo_bytes(bound)
-        fresh = run_quietly([(scalar_ops(h, n)[form], x, y) for h in hs])
-        assert fresh == first
-
-
-def test_threads_1_and_2_give_the_same_bits(monkeypatch):
-    n, f = 40, ex.builtin(2)
-    jobs = [(op, x, y) for _ in range(2) for x, y in POINTS for op in scalar_ops(f, n)]
+def test_threads_that_grow_the_table_at_once_give_the_serial_bits(monkeypatch):
+    f = ex.builtin(2)
+    jobs = [(op, x, y) for n in (40, 90, 200, 5, 600) for x, y in POINTS[:3]
+            for op in scalar_ops(f, n)]
     serial = run_quietly(jobs)
-    # a bound of two triangles and one table, so threads evict what others read
-    bound = 2 * uv._log_triangle_nbytes(degree_sets(n)["quadrant"]) + (n + 1) ** 2 * 8
-    empty_memo(monkeypatch, bound)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with ThreadPoolExecutor(2) as pool:
-                futures = [pool.submit(op, x, y) for op, x, y in jobs]
-                threaded = [bits(fut.result(timeout=60)) for fut in futures]
+        for _ in range(3):
+            monkeypatch.setattr(uv, "_log_binomial_kept", EMPTY)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with ThreadPoolExecutor(2) as pool:
+                    futures = [pool.submit(op, x, y) for op, x, y in jobs]
+                    threaded = [bits(fut.result(timeout=60)) for fut in futures]
+            assert threaded == serial
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial
-    check_memo_bytes(bound)
+    L, d = uv._log_binomial_kept
+    for m in range(len(L)):
+        assert L[m, :m + 1].tobytes() == uv._log_binomials(m).tobytes()
