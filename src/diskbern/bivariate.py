@@ -9,7 +9,9 @@ table with the inner rows of every degree.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import threading
 import warnings
 from collections import OrderedDict
@@ -215,9 +217,10 @@ def _f_at(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """f at each point (x[i], y[i]) of two 1-D float arrays that f may keep.
     A vectorized f is called once, with both arrays made read-only, and
     must return a float64 array of their shape; any other f is called once
-    per point, in order, with Python floats. ValueError names the first
-    point where f is NaN or inf, or says what a vectorized f returned
-    instead of its array.
+    per point, in order, with Python floats, and must return real numbers:
+    an int, a float or a numpy integer or float, never a bool. ValueError
+    names the first point where f returned anything else, or is NaN or inf,
+    or says what a vectorized f returned instead of its array.
     """
     if isinstance(f, vectorized):
         x.flags.writeable = y.flags.writeable = False
@@ -230,9 +233,23 @@ def _f_at(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         check_f_values(values, lambda i: (float(x[i]), float(y[i])))
         return values
     xs, ys = x.tolist(), y.tolist()
-    values = np.fromiter(map(f, xs, ys), float, len(xs))
+    returned = list(map(f, xs, ys))
+    odd = {kind for kind in set(map(type, returned)) if not _real(kind)}
+    if odd:
+        i = next(i for i, v in enumerate(returned) if type(v) in odd)
+        raise ValueError(f"f({xs[i]!r}, {ys[i]!r}) returned {type(returned[i]).__name__} "
+                         f"{returned[i]!r}, not a real number")
+    values = np.fromiter(returned, float, len(xs))
     check_f_values(values, lambda i: (xs[i], ys[i]))
     return values
+
+
+@functools.cache
+def _real(kind: type) -> bool:
+    """Whether an undeclared f may return a value of this type: a real
+    number (numbers.Real, so numpy's integers and floats too) but no bool,
+    which would read as 1.0 or 0.0."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, (bool, np.bool_))
 
 
 def _sample_points(f: Callable[[float, float], float], pts: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import _blas
 from .bivariate import _node_values, _sample_points, vectorized
 from .disk import (_QUADRANTS, Quadrant, _checked_points, _chord_coordinates, _chord_nodes,
                    _node_roots, _quadrant_coordinates, quadrant_node_table)
-from .univariate import _degree, _degree_rows, basis_rows
+from .univariate import _degree, _degree_rows, _elevate, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -201,8 +201,12 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
 # mirrors one quadrant's rows into the other three, and the chord mesh is a
 # tensor grid. Each kernel computes basis rows and node-table contractions
 # once per distinct coordinate of a group of points, then gathers them back
-# to the points. Every point's final sum runs in the same order as a
-# per-point evaluation.
+# to the points. Every operator is a tensor contraction
+# basis_row(n, u) @ C @ basis_row(n, t) (_tensor_disk_batch): the chord
+# operator's C is its node table, and the quadrant operator's is its node
+# table with each row k raised from degree n - k to n (univariate._elevate).
+# Only the RMSE cells of Cbar and Bbar keep the nested row kernel
+# (_piecewise_disk_batch), whose bits the benchmark pins.
 #
 # A group holds at most _ROWS distinct t and _ROWS distinct u, which bounds
 # its memory. The split depends only on the points, never on the thread
@@ -211,17 +215,10 @@ def mesh_quadrant_disk(n: int, dedup: bool = True) -> MeshSpec:
 
 _ROWS = 512
 
-# Points whose u and t rows _chord_disk_batch gathers at once. Each point's
+# Points whose u and t rows _tensor_disk_batch gathers at once. Each point's
 # dot product runs on its own, so the block size changes no bits; a small
 # block keeps the two gathered (block, n+1) copies per thread small.
 _GATHER = 128
-
-# A Cbar or Bbar sweep holds the node tables of all its degrees at once, so
-# the degrees of one call are split into sweeps whose tables hold at most
-# this many times the entries of the largest degree's: the peak memory of a
-# section stays within half again that of one call at its largest n. The
-# list n = 10, 40, 80, 160 (1.32 times) still takes one sweep.
-_SWEEP_TABLES = 1.5
 
 
 @dataclass(frozen=True)
@@ -303,76 +300,74 @@ def _evaluate_groups(evaluate: Callable[[_Group], np.ndarray], groups: list[_Gro
     return out
 
 
-def _chord_disk_batch(n: int, table: np.ndarray, groups: list[_Group], size: int,
-                      threads: int | None) -> np.ndarray:
-    """Disk Bernstein-Stancu values (constant schedule n_k = n) from its
-    node table at size points, which groups splits by their
-    _chord_coordinates."""
+def _tensor_disk_batch(n: int, tables: np.ndarray, which: np.ndarray | None,
+                       groups: list[_Group], size: int, threads: int | None) -> np.ndarray:
+    """Values basis_row(n, u) @ C @ basis_row(n, t) at size points, which
+    groups splits by their collapsed coordinates (u, t). C is the
+    (n+1, n+1) table tables[which[p]] of point p, or tables[0] for every
+    point when which is None: the chord operator's node table, or the
+    elevated quadrant tables (univariate._elevate). Per group, one basis row
+    per distinct u and t, one product of each table with the u rows of its
+    points, and a row dot per point. With one table, every u row is in the
+    product and the points are taken in order."""
     def evaluate(g: _Group) -> np.ndarray:
         pt = basis_rows(n, g.t)  # first, so its temporaries are gone before the gemm
-        gu = basis_rows(n, g.u) @ table
+        pu = basis_rows(n, g.u)
+        if which is None:
+            parts = [(pu @ tables[0], g.ui, None)]
+        else:  # per table, the product of the u rows its points take, and their rows in it
+            parts = []
+            gw = which[g.points]
+            order = np.argsort(gw, kind="stable")
+            ends = np.searchsorted(gw[order], np.arange(len(tables) + 1))
+            for table, a, b in zip(tables, ends[:-1], ends[1:]):
+                if a < b:
+                    rows = order[a:b]
+                    ui = g.ui[rows]
+                    new = np.r_[True, ui[1:] != ui[:-1]]  # ui is sorted, as are a group's u
+                    parts.append((pu[ui[new]] @ table, np.cumsum(new) - 1, rows))
+        del pu
         values = np.empty(g.points.size)
-        for a in range(0, values.size, _GATHER):
-            s = slice(a, a + _GATHER)
-            values[s] = np.einsum("pk,pk->p", gu[g.ui[s]], pt[g.ti[s]])
+        for gu, ui, rows in parts:
+            for a in range(0, ui.size, _GATHER):
+                s = slice(a, a + _GATHER)
+                p = s if rows is None else rows[s]
+                values[p] = np.einsum("pk,pk->p", gu[ui[s]], pt[g.ti[p]])
         return values
 
     return _evaluate_groups(evaluate, groups, size, threads)
 
 
-def _piecewise_disk_batch(degrees: Sequence[int], tables: Sequence[Sequence[np.ndarray | None]],
-                          groups: list[_Group], quad: np.ndarray,
-                          threads: int | None) -> np.ndarray:
-    """Piecewise quadrant-polynomial values for every degree in degrees
-    (distinct, ascending) at the points whose _quadrant_coordinates are
-    (u, t, quad), which groups splits by (u, t), as a (len(degrees),
-    len(quad)) array, each point from its quadrant's table. tables[d][i] is
-    the node table of degree degrees[d] and quadrant _QUADRANTS[i], sampled
-    by the caller; it may be None where no point lies in that quadrant.
+def _piecewise_disk_batch(n: int, tables: Sequence[np.ndarray | None], groups: list[_Group],
+                          quad: np.ndarray, threads: int | None) -> np.ndarray:
+    """Piecewise quadrant-polynomial values of degree n at the points whose
+    _quadrant_coordinates are (u, t, quad), which groups splits by (u, t),
+    each point from its quadrant's table: tables[i] is the node table of
+    _QUADRANTS[i], sampled by the caller, or None where no point lies in
+    that quadrant.
 
-    One sweep of _degree_rows(max(degrees), t) per group serves every
-    degree: the rows of degree m go to operator n at k = n - m. As m falls,
-    k rises for every n, so each point's sum runs in order of k, as for one
-    degree. For each degree and m, the products of the rows with the
-    group's quadrants' tables go into one (4, T) buffer, from which one
-    gather takes every point's term.
+    One sweep of _degree_rows(n, t) per group gives the inner rows of every
+    degree m = n, ..., 0; the rows of degree m go to k = n - m, so each
+    point's sum runs in order of k. For each m, the products of the rows
+    with the group's quadrants' tables go into one (4, T) buffer, from
+    which one gather takes every point's term.
     """
     def evaluate(g: _Group) -> np.ndarray:
         gq = quad[g.points]
         present = np.flatnonzero(np.bincount(gq, minlength=len(_QUADRANTS)))
         d = np.empty((len(_QUADRANTS), g.t.size))  # per quadrant, the rows times its table
         at = gq * g.t.size + g.ti  # each point's product in d, flat
-        values = np.zeros((len(degrees), g.points.size))
-        # per degree: its u rows, its sums and its quadrants' product rows and tables
-        per_degree = [(n, basis_rows(n, g.u).T.copy(), acc, [(d[i], tables[x][i]) for i in present])
-                      for x, (n, acc) in enumerate(zip(degrees, values))]
-        for m, rows in zip(range(degrees[-1], -1, -1), _degree_rows(degrees[-1], g.t)):
-            for n, pu, acc, products in per_degree:
-                if n < m:
-                    continue
-                k = n - m
-                for out, tab in products:
-                    np.matmul(rows, tab[k, : m + 1], out=out)
-                acc += pu[k].take(g.ui) * d.take(at)
+        values = np.zeros(g.points.size)
+        pu = basis_rows(n, g.u).T.copy()
+        products = [(d[i], tables[i]) for i in present]
+        for m, rows in zip(range(n, -1, -1), _degree_rows(n, g.t)):
+            k = n - m
+            for out, tab in products:
+                np.matmul(rows, tab[k, : m + 1], out=out)
+            values += pu[k].take(g.ui) * d.take(at)
         return values
 
-    return _evaluate_groups(evaluate, groups, (len(degrees), len(quad)), threads)
-
-
-def _sweeps(degrees: Sequence[int]) -> list[list[int]]:
-    """Distinct ascending degrees split, from the largest down, into the
-    degree lists of _piecewise_disk_batch calls, each ascending. A sweep
-    takes degrees while its node tables hold at most _SWEEP_TABLES times
-    the entries of the largest degree's."""
-    bound = _SWEEP_TABLES * (degrees[-1] + 1) ** 2
-    sweeps, held = [], bound
-    for n in reversed(degrees):
-        if held + (n + 1) ** 2 > bound:
-            sweeps.append([])
-            held = 0
-        sweeps[-1].insert(0, n)
-        held += (n + 1) ** 2
-    return sweeps
+    return _evaluate_groups(evaluate, groups, len(quad), threads)
 
 
 _KINDS = {"Cbar": "Cbar", "Bbar": "Bbar", "Bstancu": "Bstancu", "Bstancu-disk": "Bstancu"}
@@ -390,30 +385,42 @@ def _kind(kind: str) -> str:
 def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence[int],
                      pts, threads: int | None) -> Sequence[np.ndarray]:
     """Values of operator kind at the points, one array per degree in ns;
-    each distinct degree is computed once. The kind, every degree, the
-    points (_checked_points) and threads are checked before anything else,
-    f included, also when ns or pts is empty. The groups are built once per
-    call, and the node tables are sampled here; Cbar and Bbar sweep several
-    degrees at once (_sweeps)."""
+    each distinct degree is computed once. pts is an array of points, or
+    the MeshSpec of an RMSE cell. The kind, every degree, the points
+    (_checked_points) and threads are checked before anything else, f
+    included, also when ns or pts is empty. The groups are built once per
+    call, and the node tables are sampled here, one degree at a time.
+
+    Every value goes through the tensor kernel, with the Cbar and Bbar
+    tables elevated to degree n, except Cbar and Bbar on a MeshSpec: an
+    RMSE cell keeps the row kernel (_piecewise_disk_batch) and its bits."""
     kind, degrees = _kind(kind), sorted({_degree(n) for n in ns})
-    pts = _checked_points(pts)
+    cell = isinstance(pts, MeshSpec)
+    pts = _checked_points(pts.points if cell else pts)
     threads = None if threads is None else _degree(threads, name="threads")
     if len(pts) == 0 or not degrees:
         return np.zeros((len(ns), len(pts)))
     if kind == "Bstancu":
         groups = _groups(*_chord_coordinates(pts))
-        values = {n: _chord_disk_batch(n, _node_values(f, np.full(n + 1, n), _chord_nodes(n)),
-                                       groups, len(pts), threads) for n in degrees}
+        values = {n: _tensor_disk_batch(
+            n, _node_values(f, np.full(n + 1, n), _chord_nodes(n))[None], None, groups, len(pts),
+            threads) for n in degrees}
     else:
         u, t, quad = _quadrant_coordinates(pts)
         groups = _groups(u, t)
         present = np.bincount(quad, minlength=len(_QUADRANTS)) > 0
-        values = {}
-        for sweep in _sweeps(degrees):  # one sweep's tables live at a time
-            values.update(zip(sweep, _piecewise_disk_batch(
-                sweep, [[quadrant_node_table(f, n, q) if here else None
-                         for q, here in zip(_QUADRANTS, present)] for n in sweep],
-                groups, quad, threads)))
+        # one degree's tables live at a time
+        if cell:
+            values = {n: _piecewise_disk_batch(
+                n, [quadrant_node_table(f, n, q) if here else None
+                    for q, here in zip(_QUADRANTS, present)], groups, quad, threads)
+                for n in degrees}
+        else:
+            which = (np.cumsum(present) - 1)[quad]  # each point's table among the present ones
+            values = {n: _tensor_disk_batch(
+                n, _elevate(np.stack([quadrant_node_table(f, n, q)
+                                      for q, here in zip(_QUADRANTS, present) if here])),
+                which, groups, len(pts), threads) for n in degrees}
     return [values[n] for n in ns]
 
 
@@ -424,7 +431,11 @@ class DiskOperator:
     kind: str  # "Cbar" | "Bbar" | "Bstancu"
     n: int
 
-    def __call__(self, f, pts: np.ndarray, threads: int | None = None) -> np.ndarray:
+    def __call__(self, f, pts: np.ndarray | MeshSpec, threads: int | None = None) -> np.ndarray:
+        """Values at pts, an (m, 2) array of points or one (x, y) pair, or
+        at the points of a MeshSpec. Cbar and Bbar on a MeshSpec take the
+        row kernel, as RMSE cells do; every other call takes the tensor
+        kernel (_operator_values)."""
         return _operator_values(self.kind, f, (self.n,), pts, threads)[0]
 
 
@@ -477,7 +488,7 @@ def _squared_error_sum(f: Callable[[float, float], float], op: DiskOperator,
     """Exactly rounded sum (_exact_sum) of (f - op f)^2 over the mesh
     points: the operator call first, which checks the points before f is
     called, then f at them."""
-    sq = op(f, mesh.points, threads=threads)
+    sq = op(f, mesh, threads=threads)
     np.subtract(_sample_points(f, mesh.points), sq, out=sq)  # in place: (z - zhat) ** 2's bits
     sq *= sq
     return _exact_sum(sq)
@@ -614,8 +625,9 @@ def cross_section(
     """Sample f and the operators along a segment inside the closed disk.
 
     Returns rows (s, x, y, f, value_n1, value_n2, ...), s in [0, 1]. The
-    values have the bits of one DiskOperator call per n; Cbar and Bbar
-    compute every n in one sweep of the degrees.
+    values have the bits of one DiskOperator call per n on the section's
+    points: every kind goes through the tensor kernel, and the groups are
+    built once for all n.
     """
     samples = _degree(samples, name="samples")
     try:

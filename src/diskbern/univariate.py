@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _blas
+
 __all__ = [
     "Interval",
     "UNIT_INTERVAL",
@@ -313,6 +315,52 @@ def _degree_rows(n: int, xs: np.ndarray):
         np.add(a[:, : m + 1], _log_binomials(m), out=rows)
         rows += b[:, n - m:]
         yield np.exp(rows, out=rows)
+
+
+def _elevate(tables: np.ndarray) -> np.ndarray:
+    """Raise, in place, every row of a stack of (n+1, n+1) node tables to
+    degree n and return the stack. Row k holds Bernstein coefficients of
+    degree m = n - k in its first m + 1 columns, and becomes
+    C[k, i] = sum_j F[k, j] C(m, j) C(k, i - j) / C(n, i) (Farouki and
+    Rajan, CAGD 5, 1988): one convolution per row, of every table at once
+    while the row is at least as long as its kernel C(k, .), and of each
+    table alone after that, where the zeros between the tables would cost
+    more than the calls. The convolutions run under one BLAS thread.
+
+    Each row k of each table is first divided by the power of two 2^e_k
+    above its largest |F|, and each binomial row C(d, .) by exp(h_d), h_d
+    half its largest log, so every product and sum lies within about
+    exp(+-h_n). That is inside the float range to about n = 2050; past
+    that, a coefficient that leaves it raises ValueError.
+    """
+    n = tables.shape[1] - 1
+    degrees = np.arange(n + 1)
+    _, e = np.frexp(np.maximum(tables.max(axis=2), -tables.min(axis=2)))
+    tables *= np.ldexp(1.0, -e)[..., None]  # exact: the |F| of each row now below 1
+    scaled = _log_binomial_rows(degrees)[0]  # row d: log C(d, j), -inf right of column d
+    half = 0.5 * scaled[degrees, degrees // 2]
+    rows = np.ldexp(np.exp(half[n - degrees] + half - half[n]), e)  # 2^e_k exp(h_m + h_k - h_n)
+    columns = np.exp(half[n] - scaled[n])  # exp(h_n) / C(n, i)
+    scaled -= half[:, None]
+    np.exp(scaled, out=scaled)  # row d: C(d, j) / exp(h_d), 0 right of column d
+    padded = np.zeros((len(tables), n + 1))  # each table's row k, then k zeros
+    with _blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            m = n - k
+            if m < k:  # a row shorter than its kernel: one convolution per table
+                for table in tables:
+                    table[k] = np.convolve(table[k, : m + 1] * scaled[m, : m + 1],
+                                           scaled[k, : k + 1])
+            else:  # the k zeros after each table's row keep their products apart
+                padded[:, m + 1:] = 0.0  # row k - 1 reached column m + 1
+                np.multiply(tables[:, k, : m + 1], scaled[m, : m + 1], out=padded[:, : m + 1])
+                product = np.convolve(padded.ravel(), scaled[k, : k + 1])
+                tables[:, k] = product[: padded.size].reshape(padded.shape)
+        tables *= rows[..., None]
+        tables *= columns
+    if not np.isfinite(tables).all():
+        raise ValueError(f"degree {n} is too large to elevate within the float range")
+    return tables
 
 
 def basis_shifted(n: int, k: int, x: float, iv: Interval) -> float:

@@ -109,6 +109,23 @@ def test_real_cells_run_under_one_blas_thread(two_blas_threads, monkeypatch):
     assert two_blas_threads() == 2
 
 
+@needs_openblas
+def test_elevation_runs_under_one_blas_thread(two_blas_threads, monkeypatch):
+    """np.convolve may call BLAS's ddot; every call that elevates the
+    quadrant tables of a section sees one BLAS thread."""
+    seen = []
+    convolve = np.convolve
+
+    def spy(a, v, *args):
+        seen.append(two_blas_threads())
+        return convolve(a, v, *args)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    ex.cross_section("Cbar", ex.builtin(2), [10, 40], samples=41, threads=2)
+    assert len(seen) >= 41 + 11 and set(seen) == {1}
+    assert two_blas_threads() == 2
+
+
 def test_without_openblas_nothing_is_called(monkeypatch):
     """With the lookup finding nothing, the BLAS thread count is left as
     it is (when there is a real one to read)."""
@@ -136,6 +153,12 @@ BITS_SCRIPT = textwrap.dedent("""
     for kind, n in (("Bstancu", 200), ("Bstancu", 400), ("Cbar", 150)):
         for e in (1, 3):
             digest.update(ex.disk_operator(kind, n)(ex.builtin(e), pts, threads=2).tobytes())
+    segment = ((np.cos(1.0), np.sin(1.0)), (np.cos(4.0), np.sin(4.0)))  # three quadrants
+    sections = {np.array(ex.cross_section("Cbar", ex.builtin(3), [10, 40, 80, 160], segment,
+                                          samples=801, threads=threads)).tobytes()
+                for threads in (1, 2, 7)}
+    assert len(sections) == 1, "a section's bytes depend on threads"
+    digest.update(sections.pop())
     print(digest.hexdigest())
 """)
 
@@ -154,6 +177,7 @@ def values_digest(blas_threads):
 
 def test_values_do_not_depend_on_openblas_num_threads():
     """Off-mesh Bstancu n = 200 and 400 and Cbar n = 150 values at 4000
-    random disk points, examples 1 and 3: the same bytes with one BLAS
-    thread and with the host's default."""
+    random disk points, examples 1 and 3, and a Cbar section at n = 10, 40,
+    80 and 160 across three quadrants at threads 1, 2 and 7: the same bytes
+    with one BLAS thread and with the host's default."""
     assert values_digest("1") == values_digest(None)

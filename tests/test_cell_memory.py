@@ -219,7 +219,7 @@ def test_rmse_keeps_its_bits(example):
         for kind, mesh in (("Cbar", ex.mesh_quadrant_disk(n)), ("Bstancu", ex.mesh_stancu_disk(n))):
             op = ex.disk_operator(kind, n)
             z = np.array([f(x, y) for x, y in mesh.points.tolist()])
-            sq = (z - op(f, mesh.points)) ** 2
+            sq = (z - op(f, mesh)) ** 2
             for denominator, denom in (("nominal", mesh.nominal_size), ("actual", len(mesh.points))):
                 expected = math.sqrt(math.fsum(sq) / denom)
                 assert ex.rmse(f, op, mesh, denominator=denominator) == expected
@@ -284,7 +284,7 @@ def signs(x, y):
 def per_point_rmse(f, op, mesh, denominator):
     z = np.array([f(x, y) for x, y in mesh.points.tolist()])
     denom = mesh.nominal_size if denominator == "nominal" else len(mesh.points)
-    return math.sqrt(math.fsum((z - op(f, mesh.points)) ** 2) / denom)
+    return math.sqrt(math.fsum((z - op(f, mesh)) ** 2) / denom)
 
 
 def assert_rmse_samples_f_at_every_point(op, mesh, functions, denominators=("nominal",)):
@@ -292,7 +292,7 @@ def assert_rmse_samples_f_at_every_point(op, mesh, functions, denominators=("nom
     once per node of the tables the operator reads."""
     for f in functions:
         nodes = Counted(f)
-        op(nodes, mesh.points)
+        op(nodes, mesh)
         for denominator in denominators:
             counted = Counted(f)
             assert ex.rmse(counted, op, mesh, denominator=denominator) == per_point_rmse(

@@ -1,8 +1,9 @@
-"""The per-degree basis rows of the quadrant (Cbar) batch kernel, checked bit
+"""The per-degree basis rows of the quadrant (Cbar) row kernel, checked bit
 for bit: the row generator against basis_rows at every degree, and the
-kernel against the per-k basis_rows loop it replaced, at several thread
-counts. Also malformed input to both row builders, and the memory of one
-row.
+kernel, which RMSE cells (a MeshSpec) reach, against the per-k basis_rows
+loop it replaced, at several thread counts. Off a mesh the tensor kernel
+stays within a bound of the per-k loop. Also malformed input to both row
+builders, and the memory of one row.
 """
 
 import math
@@ -116,9 +117,18 @@ def per_k_piecewise_batch(f, n, pts, threads=None):
 
 
 def assert_kernel_matches_per_k_loop(f, n, pts):
+    """The row kernel, reached through a MeshSpec over the points."""
     expected = per_k_piecewise_batch(f, n, pts).tobytes()
+    cell = ex.MeshSpec("quadrant", n, False, pts)
     for threads in (1, 2, 7):
-        assert ex.disk_operator("Cbar", n)(f, pts, threads=threads).tobytes() == expected
+        assert ex.disk_operator("Cbar", n)(f, cell, threads=threads).tobytes() == expected
+
+
+def tensor_bound(n):
+    """Bound on |tensor kernel - row kernel|: measured at most 3.3e-14 at
+    n = 40, 1.1e-13 at n = 120, 2.2e-13 at n = 160 and 1.7e-13 at n = 400
+    (sections, random, axis and rim points, examples 1-4)."""
+    return 2e-15 * n
 
 
 @pytest.mark.parametrize("n", list(range(1, 46)) + [80, 120])
@@ -143,13 +153,30 @@ def test_kernel_bit_equal_to_per_k_loop_on_random_axis_and_rim_points():
 
 @pytest.mark.parametrize("segment", [((-1.0, 0.0), (1.0, 0.0)), ((0.0, -1.0), (0.0, 1.0)),
                                      ((-0.6, -0.8), (0.8, 0.6))])
-def test_cross_sections_bit_equal_to_per_k_loop(segment):
+def test_cross_sections_within_the_bound_of_the_per_k_loop(segment):
     f, n_list, samples = ex.builtin(4), (10, 40), 801
     (x0, y0), (x1, y1) = segment
     s = np.linspace(0.0, 1.0, samples)
     pts = np.column_stack((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
-    expected = [per_k_piecewise_batch(f, n, pts).tolist() for n in n_list]
+    expected = np.array([per_k_piecewise_batch(f, n, pts) for n in n_list])
+    first = None
     for threads in (1, 2, 7):
         rows = ex.cross_section("Cbar", f, n_list, segment, samples, threads=threads)
         values = np.array(list(zip(*rows))[4:])
-        assert values.tobytes() == np.array(expected).tobytes()
+        first = values.tobytes() if first is None else first
+        assert values.tobytes() == first
+        for n, got, want in zip(n_list, values, expected):
+            assert np.abs(got - want).max() <= tensor_bound(n)
+
+
+def test_tensor_kernel_within_the_bound_of_the_per_k_loop_on_random_axis_and_rim_points():
+    rng = np.random.default_rng(6)
+    r, a = np.sqrt(rng.random(600)), rng.uniform(0.0, 2.0 * np.pi, 600)
+    s = np.linspace(-1.0, 1.0, 81)
+    pts = np.vstack((np.column_stack((r * np.cos(a), r * np.sin(a))),
+                     np.column_stack((s, np.zeros_like(s))), np.column_stack((np.zeros_like(s), s)),
+                     np.column_stack((np.cos(a[:100]), np.sin(a[:100]))), [(0.0, 0.0)]))
+    for n, e in ((3, 1), (40, 3), (120, 2)):
+        f = ex.builtin(e)
+        got = ex.disk_operator("Cbar", n)(f, pts)
+        assert np.abs(got - per_k_piecewise_batch(f, n, pts)).max() <= tensor_bound(n)

@@ -1,5 +1,6 @@
 """Input that cannot be evaluated fails with a ValueError that names the
-argument, before f is called, and never becomes a plausible number."""
+argument, before f is called, and never becomes a plausible number; so does
+a value of f that is not a real number."""
 
 import numpy as np
 import pytest
@@ -83,3 +84,45 @@ def test_numbers_of_every_kind_stay_coordinates():
 def test_a_malformed_segment_raises_naming_segment(segment):
     with pytest.raises(ValueError, match="^segment must be two"):
         ex.cross_section("Cbar", never_called, [3], segment=segment)
+
+
+# ---------------------------------------------------------------------------
+# what an undeclared f returns
+
+def returning(value):
+    """An undeclared f that returns value everywhere."""
+    return lambda x, y: value
+
+
+F_CALLERS = {
+    "Cbar": lambda f: ex.disk_operator("Cbar", 3)(f, [(0.5, 0.25)]),
+    "Bstancu": lambda f: ex.disk_operator("Bstancu", 3)(f, [(0.5, 0.25)]),
+    "rmse": lambda f: ex.rmse(f, ex.disk_operator("Cbar", 2), ex.mesh_quadrant_disk(2)),
+    "cross_section": lambda f: ex.cross_section("Bbar", f, [2], samples=3),
+    "piecewise_stancu_disk": lambda f: disk.piecewise_stancu_disk(f, 3, 0.5, 0.25),
+    "ball_stancu": lambda f: disk.ball_stancu(f, 3, NodeSchedule.constant(3), 0.5, 0.25),
+    "stancu": lambda f: biv.stancu(f, biv.UNIT_SQUARE, 3, NodeSchedule.constant(3), 0.5, 0.25),
+}
+
+
+@pytest.mark.parametrize("value, kind", [(None, "NoneType"), ("1.5", "str"), (1 + 2j, "complex"),
+                                         (np.complex128(1.0), "complex128"), (True, "bool"),
+                                         (np.False_, "bool")], ids=repr)
+@pytest.mark.parametrize("caller", list(F_CALLERS))
+def test_a_value_that_is_not_a_real_number_raises_naming_the_point_and_its_type(caller, value,
+                                                                                 kind):
+    with pytest.raises(ValueError, match=rf"^f\(\S+, \S+\) returned {kind} .*, not a real number$"):
+        F_CALLERS[caller](returning(value))
+
+
+def test_the_first_point_with_a_non_real_value_is_named():
+    f = lambda x, y: None if x > 0.0 else x  # the chord nodes of n = 4, in order of x
+    with pytest.raises(ValueError, match=r"^f\(0\.5, -0\.866\d*\) returned NoneType None"):
+        ex.disk_operator("Bstancu", 4)(f, [(0.1, 0.2)])
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.float32(2.0), np.int64(2), np.float64(2.0)],
+                         ids=repr)
+@pytest.mark.parametrize("caller", list(F_CALLERS))
+def test_real_numbers_of_every_kind_are_values(caller, value):
+    assert F_CALLERS[caller](returning(value)) == F_CALLERS[caller](returning(2.0))

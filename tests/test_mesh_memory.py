@@ -44,7 +44,8 @@ def test_labels_are_rebuilt_from_kind_n_and_dedup():
 # the chord-disk kernel against the 512-point gather it replaced
 
 def chord_batch_512(f, n, pts, threads=None):
-    """_chord_disk_batch as it was, gathering 512 points' rows at a time."""
+    """The chord kernel (_tensor_disk_batch with one table) as it was,
+    gathering 512 points' rows at a time."""
     idx = np.arange(n + 1)
     xk = ((2 * idx - n) / n).tolist()
     yscale = (2.0 * np.sqrt(idx * (n - idx)) / n).tolist()

@@ -1,6 +1,6 @@
 """No settable value without a caller: the point-check tolerances and the
 validation grids are module constants, a mesh's nominal size follows from
-its kind and n, and an RMSE cell is one DiskOperator call."""
+its kind and n, and an RMSE cell is one DiskOperator call on its MeshSpec."""
 
 import dataclasses
 import inspect
@@ -44,13 +44,14 @@ def test_an_rmse_cell_is_one_operator_call_with_threads_by_keyword(monkeypatch):
     calls = []
     call = ex.DiskOperator.__call__
 
-    def recorded(self, f, pts, **kwargs):
-        calls.append((self.kind, len(pts), kwargs))
-        return call(self, f, pts, **kwargs)
+    def recorded(self, f, mesh, **kwargs):
+        calls.append((self.kind, mesh.kind, len(mesh.points), kwargs))
+        return call(self, f, mesh, **kwargs)
 
     monkeypatch.setattr(ex.DiskOperator, "__call__", recorded)
     mesh = ex.mesh_stancu_disk(4)
     ex.rmse(ex.builtin(1), ex.disk_operator("Bstancu", 4), mesh, threads=2)
     ex.run_example(2, [3])
-    assert calls == [("Bstancu", 25, {"threads": 2}),
-                     ("Cbar", 25, {"threads": None}), ("Bstancu", 16, {"threads": None})]
+    assert calls == [("Bstancu", "stancu", 25, {"threads": 2}),
+                     ("Cbar", "quadrant", 25, {"threads": None}),
+                     ("Bstancu", "stancu", 16, {"threads": None})]

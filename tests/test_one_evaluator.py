@@ -3,10 +3,11 @@ the inner rows of several degrees (univariate._row_triangle, which
 basis_row also calls for its one degree) and the node-table memo
 (bivariate._node_table), so every scalar operator is its (x, y) -> (s, t)
 map plus one call of it. A scalar operator that sums its own rows or reads
-the memo fails here; call _scalar_values instead. Only _row_triangle reads
-the shared log-binomial rows (univariate._log_binomial_rows), and only that
-reader builds them (_log_binomial_block), so a second copy of the inner
-rows' log C(m, k) table fails here too. And only three operators
+the memo fails here; call _scalar_values instead. Only _row_triangle and
+the batch kernels' degree elevation (univariate._elevate) read the shared
+log-binomial rows (univariate._log_binomial_rows), and only that reader
+builds them (_log_binomial_block), so a second copy of the log C(m, k)
+table fails here too. And only three operators
 call _scalar_values: bivariate.stancu (which the square and simplex
 operators call on their domains), the chord disk and the quadrants.
 """
@@ -20,6 +21,7 @@ def test_only_the_evaluator_sums_and_reads_the_memo():
     assert users(GUARDED) == {"bivariate._scalar_values": {"_row_triangle", "_node_table"},
                               "univariate.basis_row": {"_row_triangle"},
                               "univariate._row_triangle": {"_log_binomial_rows"},
+                              "univariate._elevate": {"_log_binomial_rows"},
                               "univariate._log_binomial_rows": {"_log_binomial_block"}}
 
 

@@ -1,6 +1,6 @@
 """One front door for batch evaluation: in src/diskbern only
 experiments._operator_values checks points (_checked_points), builds the
-groups (_groups) and calls the two kernels (_chord_disk_batch and
+groups (_groups) and calls the two kernels (_tensor_disk_batch and
 _piecewise_disk_batch), which take node tables and groups, never f or raw
 points. So the kind, every degree, the points and threads are checked
 before f is called whatever the degree list or point set, and the groups
@@ -17,7 +17,7 @@ import pytest
 from diskbern import experiments as ex
 from name_users import users
 
-GUARDED = {"_checked_points", "_groups", "_chord_disk_batch", "_piecewise_disk_batch"}
+GUARDED = {"_checked_points", "_groups", "_tensor_disk_batch", "_piecewise_disk_batch"}
 
 
 def test_only_the_front_door_checks_groups_and_calls_the_kernels():
@@ -25,19 +25,19 @@ def test_only_the_front_door_checks_groups_and_calls_the_kernels():
 
 
 def test_the_kernels_take_no_f_and_no_points():
-    for kernel in (ex._chord_disk_batch, ex._piecewise_disk_batch):
+    for kernel in (ex._tensor_disk_batch, ex._piecewise_disk_batch):
         assert not {"f", "pts"} & set(inspect.signature(kernel).parameters)
 
 
 def test_a_bypass_is_found(tmp_path):
     (tmp_path / "extra.py").write_text(
-        "from .experiments import _checked_points, _chord_disk_batch\n\n"
+        "from .experiments import _checked_points, _tensor_disk_batch\n\n"
         "def checked(pts):\n"
         "    return _checked_points(pts)\n\n"
         "def grouped(u, t):\n"
         "    return ex._groups(u, t)\n\n"
         "def passed_on(args):\n"
-        "    return [_chord_disk_batch(*a) for a in args]\n\n"
+        "    return [_tensor_disk_batch(*a) for a in args]\n\n"
         "def nested():\n"
         "    def inner(*a):\n"
         "        return ex._piecewise_disk_batch(*a)\n"
@@ -46,7 +46,7 @@ def test_a_bypass_is_found(tmp_path):
         "    return x\n")
     assert users(GUARDED, tmp_path) == {"extra.checked": {"_checked_points"},
                                "extra.grouped": {"_groups"},
-                               "extra.passed_on": {"_chord_disk_batch"},
+                               "extra.passed_on": {"_tensor_disk_batch"},
                                "extra.nested.inner": {"_piecewise_disk_batch"}}
 
 
@@ -100,12 +100,11 @@ def test_no_degree_or_no_point_gives_empty_values():
 # ---------------------------------------------------------------------------
 # the groups are built once per call
 
-@pytest.mark.parametrize("kind, n_list, sweeps", [
-    ("Cbar", list(range(10, 90, 10)), 3),
-    ("Bstancu", [10, 40, 80, 160], 1),
+@pytest.mark.parametrize("kind, n_list", [
+    ("Cbar", list(range(10, 90, 10))),
+    ("Bstancu", [10, 40, 80, 160]),
 ])
-def test_a_section_builds_its_groups_once(kind, n_list, sweeps, monkeypatch):
-    assert len(ex._sweeps(n_list)) == sweeps
+def test_a_section_builds_its_groups_once(kind, n_list, monkeypatch):
     built = []
     groups = ex._groups
     monkeypatch.setattr(ex, "_groups", lambda u, t: built.append(u.size) or groups(u, t))

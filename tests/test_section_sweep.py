@@ -1,9 +1,9 @@
-"""Cbar and Bbar sweep a cross section's degrees in as few passes as their
-node tables' memory allows, each batch call samples its node tables once,
-outside the node-table memo, and the kernel gathers each degree's terms for
-all of a group's points at once. Each is checked against what it replaced:
-per-n DiskOperator calls and the per-member loop, bit for bit, and the f
-calls each call makes.
+"""A cross section evaluates its degrees one at a time on groups built
+once, each batch call samples its node tables once, outside the node-table
+memo, and the row kernel gathers each degree's terms for all of a group's
+points at once. Each is checked against what it replaced: per-n
+DiskOperator calls and the per-member loop, bit for bit, and the f calls
+each call makes.
 """
 
 import math
@@ -49,7 +49,7 @@ def quadrant_points():
 
 
 # ---------------------------------------------------------------------------
-# one sweep of the degrees
+# every degree of a section
 
 @pytest.mark.parametrize("n_list",
                          [[10, 40, 80, 160], [40, 7, 80, 7], [33], [12, 12], [12, 30, 25]],
@@ -76,10 +76,9 @@ def several_group_points():
     return pts
 
 
-def test_sweep_bit_equal_to_one_degree_at_a_time_over_several_groups():
+def test_degree_list_bit_equal_to_one_degree_at_a_time_over_several_groups():
     pts = several_group_points()
     f, ns = ex.builtin(3), (25, 3, 25, 60)
-    assert ex._sweeps(sorted(set(ns))) == [[3, 25, 60]]
     expected = np.array([ex.disk_operator("Cbar", n)(f, pts) for n in ns])
     for threads in (1, 2, 3):
         values = ex._operator_values("Cbar", f, ns, pts, threads)
@@ -124,6 +123,8 @@ def per_member_piecewise_batch(f, degrees, pts, threads=None):
 @pytest.mark.parametrize("degrees", [(7,), (3, 25, 60), (10, 40, 80, 160)])
 @pytest.mark.parametrize("points", ["mesh-dedup", "mesh", "quadrant-points", "several-groups"])
 def test_one_gather_per_degree_bit_equal_to_per_member_loop(points, degrees):
+    """The row kernel, one degree a call, against the per-member loop over
+    every degree at once."""
     pts = {"mesh-dedup": ex.mesh_quadrant_disk(40, dedup=True).points,
            "mesh": ex.mesh_quadrant_disk(40, dedup=False).points,
            "quadrant-points": quadrant_points(),
@@ -135,24 +136,12 @@ def test_one_gather_per_degree_bit_equal_to_per_member_loop(points, degrees):
     tables = [[disk.quadrant_node_table(f, n, q) if np.any(quad == i) else None
                for i, q in enumerate(ex._QUADRANTS)] for n in degrees]
     for threads in (1, 2, 3):
-        values = ex._piecewise_disk_batch(degrees, tables, groups, quad, threads)
+        values = np.array([ex._piecewise_disk_batch(n, tables[d], groups, quad, threads)
+                           for d, n in enumerate(degrees)])
         assert values.tobytes() == expected
 
 
-@pytest.mark.parametrize("degrees, sweeps", [
-    ([10, 40, 80, 160], [[10, 40, 80, 160]]),
-    ([400, 600, 800], [[800], [400, 600]]),
-    ([1000, 1500, 2000], [[2000], [1000, 1500]]),
-    ([10, 20, 30, 40, 50, 60, 70, 80], [[80], [60, 70], [10, 20, 30, 40, 50]]),
-    ([7], [[7]]),
-])
-def test_sweeps_hold_at_most_half_again_the_largest_degrees_tables(degrees, sweeps):
-    assert ex._sweeps(degrees) == sweeps
-    for sweep in sweeps:
-        assert sum((n + 1) ** 2 for n in sweep) <= 1.5 * (degrees[-1] + 1) ** 2
-
-
-def test_section_holds_the_tables_of_one_sweep_at_a_time(monkeypatch):
+def test_section_holds_the_tables_of_one_degree_at_a_time(monkeypatch):
     alive = most = 0
 
     def dropped(size):
@@ -170,7 +159,7 @@ def test_section_holds_the_tables_of_one_sweep_at_a_time(monkeypatch):
     monkeypatch.setattr(ex, "quadrant_node_table", counted)
     ex.cross_section("Cbar", ex.builtin(2), [20, 30, 40], CHORDS[0], samples=21)
     assert alive == 0
-    # two quadrants' tables of [40] alone, then of [20, 30] (2 * (21**2 + 31**2) = 2804)
+    # the two quadrants' tables of 20, then of 30, then of 40
     assert most == 2 * 41 ** 2
 
 
