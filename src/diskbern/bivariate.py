@@ -2,9 +2,11 @@
 
 A domain is the region between two curves y = phi1(x), y = phi2(x) over
 [a, b]. The operator nests a univariate Bernstein operator in y (with an
-x-dependent node count) inside one in x. Every scalar operator evaluates
-that nesting in _scalar_values as one contraction of its memoized node
-table with the inner rows of every degree.
+x-dependent node count) inside one in x. Raising every inner row to the
+largest inner degree N (univariate._elevate) makes the nesting a tensor
+Bernstein form, and every scalar operator evaluates it in _scalar_values as
+basis_row(n, s) @ C @ basis_row(N, t) with C, the elevated node table,
+memoized.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .univariate import (_EPS, _GRID, _NODE_TABLE_BYTES, _SLACK, Interval, _degree, _not_bool,
-                         _row_triangle, basis_row, bernstein, bernstein_shifted, check_f_values)
+from .univariate import (_EPS, _GRID, _SLACK, Interval, _check_elevation, _degree, _elevate,
+                         _not_bool, basis_row, bernstein, bernstein_shifted, check_f_values)
 
 __all__ = [
     "vectorized",
@@ -285,31 +287,27 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
     return table
 
 
-# The scalar operators' node tables, keyed by (f, operator tag, n, schedule,
-# domain or quadrant) and evicted least recently used once they hold more
-# than _NODE_TABLE_BYTES. Each is the whole table of its node set, whatever
-# rows the point weights, with the degree of each row. f is treated as a
-# pure function of (x, y): a repeated key reuses the table instead of
+# The scalar operators' elevated node tables C (_scalar_values), keyed by
+# (f, operator tag, n, schedule, domain or quadrant) and evicted least
+# recently used once they hold more than _NODE_TABLE_BYTES. Each is the
+# whole table of its node set, whatever rows the point weights. f is treated
+# as a pure function of (x, y): a repeated key reuses the table instead of
 # calling f again.
-_node_tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
+_NODE_TABLE_BYTES = 8 << 20
+_node_tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _node_table_bytes = 0
 _node_table_lock = threading.Lock()
 
 
-def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
-    return sum(a.nbytes for a in arrays)
+def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The table stored under key, or build() when there is none.
 
-
-def _node_table(key: tuple[Hashable, ...],
-                build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """The arrays stored under key, or build() when there are none.
-
-    Built arrays are made read-only and stored unless they alone are larger
-    than the bound. They are only stored when build returned, so a table
-    whose f raised or was not finite never is.
+    A built table is made read-only and stored unless it alone is larger
+    than the bound. It is only stored when build returned, so a table whose
+    f raised or was not finite never is.
     A key that cannot be hashed (an unhashable f) is built on every call.
-    The arrays are built outside the lock, so two threads that miss the same
-    key at once may each build them; both have the same bits.
+    The table is built outside the lock, so two threads that miss the same
+    key at once may each build it; both have the same bits.
     """
     global _node_table_bytes
     try:
@@ -317,49 +315,45 @@ def _node_table(key: tuple[Hashable, ...],
     except TypeError:
         return build()
     with _node_table_lock:
-        arrays = _node_tables.get(key)
-        if arrays is not None:
+        table = _node_tables.get(key)
+        if table is not None:
             _node_tables.move_to_end(key)
-            return arrays
-    arrays = build()
-    for a in arrays:
-        a.flags.writeable = False
-    if _nbytes(arrays) > _NODE_TABLE_BYTES:
-        return arrays
+            return table
+    table = build()
+    table.flags.writeable = False
+    if table.nbytes > _NODE_TABLE_BYTES:
+        return table
     with _node_table_lock:
         if key not in _node_tables:
-            _node_tables[key] = arrays
-            _node_table_bytes += _nbytes(arrays)
+            _node_tables[key] = table
+            _node_table_bytes += table.nbytes
             while _node_table_bytes > _NODE_TABLE_BYTES:
-                _node_table_bytes -= _nbytes(_node_tables.popitem(last=False)[1])
-    return arrays
+                _node_table_bytes -= _node_tables.popitem(last=False)[1].nbytes
+    return table
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
                    nodes: Callable[[], tuple[np.ndarray, Callable]], s: float, t: float) -> float:
     """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t): the one
     evaluator of the scalar operators. nodes() gives the row degrees n_k
-    and the node map, and F is _node_values(f, n_k, node map), read through
-    _node_table under (f, *key) with the row degrees, so nodes is called
-    only when F is built. Over the band of rows from the first to the last
-    of nonzero outer weight, the inner sums are one product of F with the
-    rows p^{n_k}(t) of one _row_triangle, summed along each row, and the
-    outer sum is one dot; a band of one degree broadcasts that degree's
-    row. The outer row comes first, so an s outside [0, 1] raises before f
-    is called."""
+    and the node map, and F is _node_values(f, n_k, node map). Each row is
+    raised to N = max n_k (univariate._elevate; a constant schedule's rows
+    are all of degree N already), which makes the value
+    basis_row(n, s) @ C @ basis_row(N, t) for the elevated table C. C is
+    read through _node_table under (f, *key), so nodes is called only when
+    it is built. The outer row comes first, so an s outside [0, 1] raises
+    before f is called, and so does a degree _elevate cannot reach."""
     def build():
         counts, node_map = nodes()
-        return _node_values(f, counts, node_map), counts
+        elevate = counts.min() < counts.max()  # rows of several degrees
+        if elevate:
+            _check_elevation(int(counts.max()))  # before f is called
+        table = _node_values(f, counts, node_map)
+        return _elevate(table[None], counts)[0] if elevate else table
 
     outer = basis_row(n, s)
-    table, row_degrees = _node_table((f, *key), build)
-    live = outer.nonzero()[0]
-    band = slice(live[0], live[-1] + 1)
-    degrees = row_degrees[band]
-    w = degrees.max() + 1
-    if degrees.min() == w - 1:  # one row, broadcast over the band
-        degrees = degrees[:1]
-    return float(outer[band].dot((table[band, :w] * _row_triangle(degrees, t)).sum(1)))
+    table = _node_table((f, *key), build)
+    return float(outer @ table @ basis_row(table.shape[1] - 1, t))
 
 
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from . import _blas
 from .bivariate import _node_values, _sample_points, vectorized
 from .disk import (_QUADRANTS, Quadrant, _checked_points, _chord_coordinates, _chord_nodes,
                    _node_roots, _quadrant_coordinates, quadrant_node_table)
-from .univariate import _degree, _degree_rows, _elevate, basis_rows
+from .univariate import _check_elevation, _degree, _degree_rows, _elevate, basis_rows
 
 __all__ = [
     "BUILTINS",
@@ -393,9 +393,13 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
 
     Every value goes through the tensor kernel, with the Cbar and Bbar
     tables elevated to degree n, except Cbar and Bbar on a MeshSpec: an
-    RMSE cell keeps the row kernel (_piecewise_disk_batch) and its bits."""
+    RMSE cell keeps the row kernel (_piecewise_disk_batch) and its bits. A
+    degree the elevation cannot reach raises with the other checks."""
     kind, degrees = _kind(kind), sorted({_degree(n) for n in ns})
     cell = isinstance(pts, MeshSpec)
+    if kind != "Bstancu" and not cell:
+        for n in degrees:
+            _check_elevation(n)
     pts = _checked_points(pts.points if cell else pts)
     threads = None if threads is None else _degree(threads, name="threads")
     if len(pts) == 0 or not degrees:
@@ -419,7 +423,8 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
             which = (np.cumsum(present) - 1)[quad]  # each point's table among the present ones
             values = {n: _tensor_disk_batch(
                 n, _elevate(np.stack([quadrant_node_table(f, n, q)
-                                      for q, here in zip(_QUADRANTS, present) if here])),
+                                      for q, here in zip(_QUADRANTS, present) if here]),
+                            n - np.arange(n + 1)),
                 which, groups, len(pts), threads) for n in degrees}
     return [values[n] for n in ns]
 

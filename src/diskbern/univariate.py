@@ -1,8 +1,9 @@
 """Univariate Bernstein bases and operators on general intervals.
 
 Everything here is a pure function of its inputs; basis rows are computed
-in log space (log-gamma) so that degrees up to a few hundred evaluate
-without intermediate overflow or underflow.
+in log space (log-gamma), so no degree overflows or underflows early. The
+operators built on them keep the exact images of low-degree monomials
+within 2e-15 n up to n = 1100 (tests/test_moments.py).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,12 +45,6 @@ __all__ = [
 _EPS = 1e-12
 _SLACK = 1e-9
 _GRID = 1024
-# exp(x) is +0.0 for every x below this (the smallest subnormal is
-# exp(-744.44)), and numpy's exp takes 13 to 18 times as long on such x as
-# on x with a normal result.
-_EXP_ZERO = -746.0
-# Bytes the scalar node-table memo (bivariate._node_table) holds at most.
-_NODE_TABLE_BYTES = 8 << 20
 
 
 def _not_bool(x, name: str):
@@ -182,74 +177,21 @@ def basis_classical(n: int, k: int, x: float) -> float:
 
 
 def basis_row(n: int, x: float) -> np.ndarray:
-    """All n+1 Bernstein basis values at x, stable for n up to ~400."""
-    return _row_triangle([_degree(n, 0)], x)[0]
-
-
-_log_binomial_kept = (np.empty((0, 0)), np.empty((0, 0), np.int8))  # grown on first use
-
-
-def _log_binomial_block(m: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(L, d) for the degrees m (each below w) and the columns k < w:
-    L[i, k] = (log m_i! - log k!) - log (m_i - k)!, as in _log_binomials(m_i),
-    and -inf right of column m_i; d[i, k] = m_i - k in the smallest signed
-    integer type that holds it, which a Python float multiplies into float64."""
-    dtype = np.min_scalar_type(-w)
-    d = np.subtract.outer(m.astype(dtype), np.arange(w, dtype=dtype))
-    lf = log_factorials(w - 1)
-    L = np.subtract.outer(lf[m], lf)
-    # window w - 1 - m_i of lf[w - 1], ..., lf[0], ..., lf[w - 1] is lf[|m_i - k|]
-    L -= np.lib.stride_tricks.sliding_window_view(np.concatenate((lf[::-1], lf[1:])), w)[w - 1 - m]
-    L[d < 0] = -np.inf
-    return L, d
-
-
-def _log_binomial_rows(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_log_binomial_block(degrees, max(degrees) + 1), as new arrays. They
-    are gathered from one read-only table, the block of the degrees
-    0..size - 1, kept for every caller while its L fits in _NODE_TABLE_BYTES,
-    to degree 1023 (the memo keeps node tables to n = 1022); a larger degree
-    gets its rows built for the call alone, leaving the kept table as it is.
-    The kept table grows as log_factorials does, by swapping in a new one.
-    """
-    global _log_binomial_kept
-    w = int(degrees.max()) + 1
-    most = math.isqrt(_NODE_TABLE_BYTES // 8)
-    if w > most:
-        return _log_binomial_block(degrees, w)
-    kept = _log_binomial_kept
-    if w > len(kept[0]):
-        size = min(max(w, 2 * len(kept[0])), most)
-        kept = _log_binomial_block(np.arange(size), size)
-        for a in kept:
-            a.flags.writeable = False
-        _log_binomial_kept = kept
-    return kept[0][degrees, :w], kept[1][degrees, :w]
-
-
-def _row_triangle(degrees: Sequence[int], x: float) -> np.ndarray:
-    """basis_row(m, x) for each m in degrees as the rows of one array, zero
-    right of column m; the one-hot rows at x = 0 and x = 1. One degree takes
-    its row from _log_binomials(m); several take theirs from
-    _log_binomial_rows, and entry (m, k) is exp((L + k log x) + d log(1 - x)),
-    exponentiated only where that sum is above _EXP_ZERO (so neither right
-    of column m, where L is -inf, nor where the exp is 0) and 0 elsewhere.
-    """
+    """All n+1 Bernstein basis values at x: entry k is
+    exp((log C(n, k) + k log x) + (n - k) log(1 - x)), from _log_binomials(n)
+    and the math.log and math.log1p of x, so it neither overflows nor
+    underflows to 0 early at any degree; the one-hot rows at x = 0 and 1."""
+    n = _degree(n, 0)
     x = _check_unit(x)
-    m = np.asarray(degrees)
     if x == 0.0 or x == 1.0:
-        k = np.arange(int(m.max()) + 1)
-        return (k == (m[:, None] if x == 1.0 else 0 * m[:, None])).astype(float)
-    if m.size == 1:
-        row = _log_binomials(int(m[0]))
-        k = np.arange(row.size, dtype=float)
-        row = row + k * math.log(x)
-        row += k[::-1] * math.log1p(-x)
-        return np.exp(row, out=row)[None]
-    rows, d = _log_binomial_rows(m)
-    rows += np.arange(rows.shape[1], dtype=float) * math.log(x)
-    rows += d * math.log1p(-x)
-    return np.exp(rows, out=np.zeros(rows.shape), where=rows > _EXP_ZERO)
+        row = np.zeros(n + 1)
+        row[n if x == 1.0 else 0] = 1.0
+        return row
+    row = _log_binomials(n)
+    k = np.arange(n + 1, dtype=float)
+    row = row + k * math.log(x)
+    row += k[::-1] * math.log1p(-x)
+    return np.exp(row, out=row)
 
 
 def _check_unit_array(xs) -> np.ndarray:
@@ -317,44 +259,72 @@ def _degree_rows(n: int, xs: np.ndarray):
         yield np.exp(rows, out=rows)
 
 
-def _elevate(tables: np.ndarray) -> np.ndarray:
-    """Raise, in place, every row of a stack of (n+1, n+1) node tables to
-    degree n and return the stack. Row k holds Bernstein coefficients of
-    degree m = n - k in its first m + 1 columns, and becomes
-    C[k, i] = sum_j F[k, j] C(m, j) C(k, i - j) / C(n, i) (Farouki and
-    Rajan, CAGD 5, 1988): one convolution per row, of every table at once
-    while the row is at least as long as its kernel C(k, .), and of each
-    table alone after that, where the zeros between the tables would cost
-    more than the calls. The convolutions run under one BLAS thread.
+# The largest degree _elevate reaches within the float range: a table of
+# ones, the largest sums any table of |F| <= 1 can have, elevates at 2050 and
+# overflows at 2051.
+_ELEVATE_MAX = 2050
+
+
+def _check_elevation(n: int) -> None:
+    """ValueError naming n if _elevate cannot raise rows to degree n, so a
+    caller can fail before it samples f."""
+    if n > _ELEVATE_MAX:
+        raise ValueError(f"degree {n} is too large to elevate within the float range "
+                         f"(at most {_ELEVATE_MAX})")
+
+
+def _log_binomial_block(n: int) -> np.ndarray:
+    """L[m, k] = (log m! - log k!) - log (m - k)!, as in _log_binomials(m),
+    for m, k = 0..n; the entries right of column m are no binomials."""
+    lf = log_factorials(n)
+    L = np.subtract.outer(lf, lf)
+    # row m of the reversed windows of lf[n], ..., lf[0], ..., lf[n] is lf[|m - k|]
+    L -= np.lib.stride_tricks.sliding_window_view(np.concatenate((lf[::-1], lf[1:])), n + 1)[::-1]
+    return L
+
+
+def _elevate(tables: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Raise, in place, every row of a stack of node tables to degree
+    n = max(degrees), the tables' last column, and return the stack. Row k
+    holds Bernstein coefficients of degree m = degrees[k] in its first m + 1
+    columns, and becomes C[k, i] = sum_j F[k, j] C(m, j) C(n - m, i - j) / C(n, i)
+    (Farouki and Rajan, CAGD 5, 1988): one convolution per row, of every
+    table at once while the row is at least as long as its kernel
+    C(n - m, .), and of each table alone after that, where the zeros between
+    the tables would cost more than the calls. The convolutions run under
+    one BLAS thread, and the (n+1, n+1) log-binomial block is built for the
+    call alone.
 
     Each row k of each table is first divided by the power of two 2^e_k
     above its largest |F|, and each binomial row C(d, .) by exp(h_d), h_d
     half its largest log, so every product and sum lies within about
-    exp(+-h_n). That is inside the float range to about n = 2050; past
-    that, a coefficient that leaves it raises ValueError.
+    exp(+-h_n). That is inside the float range to n = _ELEVATE_MAX, which
+    callers check (_check_elevation) before they sample f; a coefficient
+    that still leaves it raises ValueError.
     """
-    n = tables.shape[1] - 1
-    degrees = np.arange(n + 1)
+    n = tables.shape[2] - 1
     _, e = np.frexp(np.maximum(tables.max(axis=2), -tables.min(axis=2)))
     tables *= np.ldexp(1.0, -e)[..., None]  # exact: the |F| of each row now below 1
-    scaled = _log_binomial_rows(degrees)[0]  # row d: log C(d, j), -inf right of column d
-    half = 0.5 * scaled[degrees, degrees // 2]
-    rows = np.ldexp(np.exp(half[n - degrees] + half - half[n]), e)  # 2^e_k exp(h_m + h_k - h_n)
+    scaled = _log_binomial_block(n)  # row d: log C(d, j) in columns j <= d
+    i = np.arange(n + 1)
+    half = 0.5 * scaled[i, i // 2]
+    # 2^e_k exp(h_m + h_{n-m} - h_n), m = degrees[k]
+    rows = np.ldexp(np.exp(half[degrees] + half[n - degrees] - half[n]), e)
     columns = np.exp(half[n] - scaled[n])  # exp(h_n) / C(n, i)
     scaled -= half[:, None]
-    np.exp(scaled, out=scaled)  # row d: C(d, j) / exp(h_d), 0 right of column d
-    padded = np.zeros((len(tables), n + 1))  # each table's row k, then k zeros
+    np.exp(scaled, out=scaled)  # row d: C(d, j) / exp(h_d) in columns j <= d
+    padded = np.zeros((len(tables), n + 1))  # each table's row k, then n - m zeros
     with _blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            m = n - k
-            if m < k:  # a row shorter than its kernel: one convolution per table
+        for k, m in enumerate(degrees.tolist()):
+            d = n - m
+            if m < d:  # a row shorter than its kernel: one convolution per table
                 for table in tables:
                     table[k] = np.convolve(table[k, : m + 1] * scaled[m, : m + 1],
-                                           scaled[k, : k + 1])
-            else:  # the k zeros after each table's row keep their products apart
-                padded[:, m + 1:] = 0.0  # row k - 1 reached column m + 1
+                                           scaled[d, : d + 1])
+            else:  # the n - m zeros after each table's row keep their products apart
+                padded[:, m + 1:] = 0.0
                 np.multiply(tables[:, k, : m + 1], scaled[m, : m + 1], out=padded[:, : m + 1])
-                product = np.convolve(padded.ravel(), scaled[k, : k + 1])
+                product = np.convolve(padded.ravel(), scaled[d, : d + 1])
                 tables[:, k] = product[: padded.size].reshape(padded.shape)
         tables *= rows[..., None]
         tables *= columns

@@ -1,5 +1,5 @@
 """The stdlib log-gamma port and the log-factorial and log-binomial tables
-built from it, checked bit for bit against scipy.special.gammaln, which
+built from it (the elevation's log-binomial block too), checked bit for bit against scipy.special.gammaln, which
 evaluates the same cephes routine; and the import-time guard that keeps
 scipy out of the runtime.
 """
@@ -33,6 +33,15 @@ def test_log_binomials_bit_equal_to_gammaln_expression():
         k = np.arange(n + 1)
         expected = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
         assert uv._log_binomials(n).tobytes() == expected.tobytes(), n
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 1000])
+def test_log_binomial_block_rows_bit_equal_to_log_binomials(n):
+    """Row m of the elevation's block, left of the diagonal."""
+    L = uv._log_binomial_block(n)
+    assert L.shape == (n + 1, n + 1)
+    for m in range(n + 1):
+        assert L[m, :m + 1].tobytes() == uv._log_binomials(m).tobytes(), m
 
 
 def test_log_factorials_bit_equal_to_gammaln():

@@ -1,5 +1,5 @@
 """Exact images of low-degree polynomials, an oracle for the batch kernels
-at any n.
+and the scalar forms at any n.
 
 In each quadrant, Cbar and Bbar are the triangle Bernstein operator in
 (U, V) = (x^2, y^2): the node (sqrt(k/n), sqrt(j/n)) is (U, V) = (k/n, j/n),
@@ -28,13 +28,16 @@ n = 1100 is past the n at which plain float binomials overflow (about
 1030), which the elevation of the quadrant tables has to survive.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from diskbern import disk
 from diskbern import experiments as ex
 from diskbern import vectorized
+from diskbern.bivariate import CurvilinearDomain, NodeSchedule, monomial_image, stancu
 
 
 def bound(n):
@@ -111,3 +114,51 @@ def test_rmse_cells_row_kernel_reproduces_the_moments(n):
     cell = ex.MeshSpec("quadrant", n, False, PTS)
     for f, moment in QUADRANT_MOMENTS.values():
         assert_image(ex.disk_operator("Cbar", n)(f, cell), image(moment, n), n)
+
+
+# The scalar forms: each value is basis_row(n, s) @ C @ basis_row(N, t) for
+# the elevated node table C (bivariate._scalar_values), so the same images
+# check the elevation of the quadrant rows and of the stancu schedules.
+# Measured largest errors: piecewise_stancu_disk 9.8e-14 at n = 200 and
+# 2.6e-12 on the sum of the four at n = 1000; stancu on x^2 + 2 y^2 7.9e-14
+# at n = 200 and 5.9e-13 at n = 1000, with either schedule.
+
+def scalar_values(op, pts):
+    return np.array([op(x, y) for x, y in pts.tolist()])
+
+
+@pytest.mark.parametrize("name", list(QUADRANT_MOMENTS))
+def test_piecewise_stancu_disk_reproduces_the_moments(name):
+    f, moment = QUADRANT_MOMENTS[name]
+    values = scalar_values(lambda x, y: disk.piecewise_stancu_disk(f, 200, x, y), PTS)
+    assert_image(values, image(moment, 200), 200)
+
+
+def test_piecewise_stancu_disk_moments_at_large_n():
+    """The points in order of their quadrant: the memo holds one 8 MB table
+    at n = 1000, so each quadrant's table is sampled and elevated once."""
+    f, moment = MIXED
+    order = np.argsort(disk._quadrant_index(*PTS.T), kind="stable")
+    values = scalar_values(lambda x, y: disk.piecewise_stancu_disk(f, 1000, x, y), PTS[order])
+    assert_image(values, image(moment, 1000)[order], 1000, scale=4.0)
+
+
+def _root(x):
+    return math.sqrt(max(1.0 - x * x, 0.0))
+
+
+DISK = CurvilinearDomain(-1.0, 1.0, lambda x: -_root(x), _root)
+# x^2 + 2 y^2, whose image is monomial_image's "x2" plus twice its "y2"
+SECOND_MOMENTS = vectorized(lambda x, y: x * x + 2.0 * (y * y))
+
+
+@pytest.mark.filterwarnings("ignore:schedule .* yields n_k=0")
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("sched", [NodeSchedule.n_minus_k(), NodeSchedule.k_index()],
+                         ids=["n-minus-k", "k"])
+def test_stancu_on_the_disk_reproduces_its_second_moments(sched, n):
+    pts = PTS[::6]
+    values = scalar_values(lambda x, y: stancu(SECOND_MOMENTS, DISK, n, sched, x, y), pts)
+    expected = [monomial_image("x2", DISK, n, sched, x, y)
+                + 2.0 * monomial_image("y2", DISK, n, sched, x, y) for x, y in pts.tolist()]
+    assert_image(values, np.array(expected), n, scale=2.0)  # |f| <= 2 on the disk

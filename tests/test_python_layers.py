@@ -1,6 +1,7 @@
 """The per-point and per-node layers around the batch kernels, checked bit
 for bit against the plain loops they replaced: mesh builders, f sampling,
-node tables, basis rows and the scalar operators' shared inner rows.
+node tables and basis rows; and the scalar operators' constant-schedule
+form against a 40-digit sum.
 """
 
 import math
@@ -12,9 +13,11 @@ from scipy.special import gammaln
 from diskbern import bivariate as biv
 from diskbern import disk
 from diskbern import experiments as ex
+from diskbern import univariate as uv
 from diskbern.bivariate import NodeSchedule
 from diskbern.disk import Quadrant, ball_stancu, quadrant_node_table
 from diskbern.univariate import basis_classical, basis_row, basis_rows
+from nested_sum import mp_nested_sum
 
 
 def loop_mesh_stancu(n):
@@ -138,9 +141,9 @@ def test_chord_node_table_matches_loop(n):
 
 
 def test_scalar_node_table_matches_loop():
-    """_scalar_values: f at the nodes of every row, call for call, kept in
-    the memo under (f, *key) with the degree of each row, and a repeated
-    key makes no call."""
+    """_scalar_values: f at the nodes of every row, call for call, and the
+    table kept in the memo under (f, *key) is that table elevated to the
+    largest row degree; a repeated key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
     loop_calls, expected = [], np.zeros((n + 1, 10))
@@ -149,13 +152,12 @@ def test_scalar_node_table_matches_loop():
         for j in range(nk + 1):
             loop_calls.append((k / n, (j / nk) * (1.0 - k / n)))
             expected[k, j] = f(*loop_calls[-1])
+    elevated = uv._elevate(expected[None], counts)[0]
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
         biv._scalar_values(g, ("test", n), n, lambda: (counts, nodes), 0.3, 0.4)
-        table, degrees = biv._node_tables[g, "test", n]
-        assert table.tobytes() == expected.tobytes()
-        assert degrees.tolist() == counts.tolist()
+        assert biv._node_tables[g, "test", n].tobytes() == elevated.tobytes()
         same_calls(calls, loop_calls)
 
 
@@ -214,41 +216,38 @@ def test_basis_rows_with_endpoints_matches_formula(n):
 
 def reference_ball_stancu(f, n, m, x, y):
     """ball_stancu with the constant schedule m, sampling the node table row
-    by row and contracting it with the one inner row as the evaluator does:
-    p^n(s) @ (F * p^m(t)).sum(1)."""
-    px = basis_row(n, (min(max(x, -1.0), 1.0) + 1.0) / 2.0)
+    by row: its exact value at 40 digits."""
+    s = (min(max(x, -1.0), 1.0) + 1.0) / 2.0
     half_width = math.sqrt(max(1.0 - x * x, 0.0))
     t = (y / half_width + 1.0) / 2.0 if half_width > 1e-12 else 0.5
     t = min(max(t, 0.0), 1.0)
     table = np.array([[f((2 * k - n) / n, (2 * j - m) / m * (2.0 * math.sqrt(k * (n - k)) / n))
                        for j in range(m + 1)] for k in range(n + 1)])
-    return float(px.dot((table * basis_row(m, t)).sum(1)))
+    return mp_nested_sum(s, t, np.full(n + 1, m), table)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (7, 7), (40, 40), (12, 5)])
-def test_ball_stancu_shared_inner_row_is_bit_identical(n, m):
+def test_ball_stancu_with_one_inner_degree_within_1e_13_of_a_40_digit_sum(n, m):
     sched = NodeSchedule.constant(m)
     for e in (1, 2, 3, 4):
         f = ex.builtin(e)
         for x, y in [(0.0, 0.0), (0.3, -0.2), (-0.7, 0.5), (1.0, 0.0), (-0.2, -0.97)]:
-            assert ball_stancu(f, n, sched, x, y) == reference_ball_stancu(f, n, m, x, y)
+            value = ball_stancu(f, n, sched, x, y)
+            assert abs(value - reference_ball_stancu(f, n, m, x, y)) <= 1e-13
 
 
 def test_ball_stancu_builds_one_inner_row_per_degree(monkeypatch):
-    degrees, inner = [], []
+    """A constant schedule's rows share their degree: each call builds its
+    outer row and one inner row, and nothing is elevated."""
+    degrees, elevated = [], []
 
     def counting_row(n, x):
         degrees.append(n)
         return basis_row(n, x)
 
-    def counting_triangle(ms, t):
-        inner.append(list(ms))
-        return triangle(ms, t)
-
-    triangle = biv._row_triangle
     monkeypatch.setattr(biv, "basis_row", counting_row)
-    monkeypatch.setattr(biv, "_row_triangle", counting_triangle)
-    ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(20), 0.3, 0.4)
-    ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(20), 0.5, 0.1)
-    assert degrees == [20, 20]  # the outer rows, on a miss and a hit
-    assert inner == [[20], [20]]  # one shared inner row each
+    monkeypatch.setattr(biv, "_elevate", lambda *args: elevated.append(args))
+    ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(12), 0.3, 0.4)
+    ball_stancu(ex.builtin(1), 20, NodeSchedule.constant(12), 0.5, 0.1)
+    assert degrees == [20, 12, 20, 12]  # the outer and inner rows, on a miss and a hit
+    assert elevated == []
