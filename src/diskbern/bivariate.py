@@ -5,8 +5,8 @@ A domain is the region between two curves y = phi1(x), y = phi2(x) over
 x-dependent node count) inside one in x. Raising every inner row to the
 largest inner degree N (univariate._elevate) makes the nesting a tensor
 Bernstein form, and every scalar operator evaluates it in _scalar_values as
-basis_row(n, s) @ C @ basis_row(N, t) with C, the elevated node table,
-memoized.
+c + basis_row(n, s) @ (C - c) @ basis_row(N, t), with C the elevated node
+table and c its first entry, memoized.
 """
 
 from __future__ import annotations
@@ -287,20 +287,22 @@ def _node_values(f: Callable[[float, float], float], counts: np.ndarray,
     return table
 
 
-# The scalar operators' elevated node tables C (_scalar_values), keyed by
-# (f, operator tag, n, schedule, domain or quadrant) and evicted least
-# recently used once they hold more than _NODE_TABLE_BYTES. Each is the
-# whole table of its node set, whatever rows the point weights. f is treated
-# as a pure function of (x, y): a repeated key reuses the table instead of
-# calling f again.
+# The scalar operators' elevated node tables (_scalar_values), each stored
+# as (c, C - c) with c its first entry, keyed by (f, operator tag, n,
+# schedule, domain or quadrant) and evicted least recently used once the
+# tables hold more than _NODE_TABLE_BYTES. Each is the whole table of its
+# node set, whatever rows the point weights. f is treated as a pure
+# function of (x, y): a repeated key reuses the table instead of calling f
+# again.
 _NODE_TABLE_BYTES = 8 << 20
-_node_tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_node_tables: OrderedDict[tuple, tuple[float, np.ndarray]] = OrderedDict()
 _node_table_bytes = 0
 _node_table_lock = threading.Lock()
 
 
-def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
-    """The table stored under key, or build() when there is none.
+def _node_table(key: tuple[Hashable, ...],
+                build: Callable[[], tuple[float, np.ndarray]]) -> tuple[float, np.ndarray]:
+    """The (c, table) pair stored under key, or build() when there is none.
 
     A built table is made read-only and stored unless it alone is larger
     than the bound. It is only stored when build returned, so a table whose
@@ -315,21 +317,22 @@ def _node_table(key: tuple[Hashable, ...], build: Callable[[], np.ndarray]) -> n
     except TypeError:
         return build()
     with _node_table_lock:
-        table = _node_tables.get(key)
-        if table is not None:
+        entry = _node_tables.get(key)
+        if entry is not None:
             _node_tables.move_to_end(key)
-            return table
-    table = build()
+            return entry
+    entry = build()
+    table = entry[1]
     table.flags.writeable = False
     if table.nbytes > _NODE_TABLE_BYTES:
-        return table
+        return entry
     with _node_table_lock:
         if key not in _node_tables:
-            _node_tables[key] = table
+            _node_tables[key] = entry
             _node_table_bytes += table.nbytes
             while _node_table_bytes > _NODE_TABLE_BYTES:
-                _node_table_bytes -= _node_tables.popitem(last=False)[1].nbytes
-    return table
+                _node_table_bytes -= _node_tables.popitem(last=False)[1][1].nbytes
+    return entry
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
@@ -339,21 +342,39 @@ def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
     and the node map, and F is _node_values(f, n_k, node map). Each row is
     raised to N = max n_k (univariate._elevate; a constant schedule's rows
     are all of degree N already), which makes the value
-    basis_row(n, s) @ C @ basis_row(N, t) for the elevated table C. C is
-    read through _node_table under (f, *key), so nodes is called only when
-    it is built. The outer row comes first, so an s outside [0, 1] raises
-    before f is called, and so does a degree _elevate cannot reach."""
+    c + basis_row(n, s) @ (C - c) @ basis_row(N, t) for the elevated table
+    C and its first entry c. (c, C - c) is read through _node_table under
+    (f, *key), so nodes is called only when it is built. The outer row
+    comes first, so an s outside [0, 1] raises before f is called, and so
+    does a degree _elevate cannot reach.
+
+    Elevation and the contraction are linear and keep constants, so each
+    row is elevated less its first value, and the table is contracted less
+    c: a constant f gives c to the bit at every point (the basis rows sum
+    to 1 only to a rounding), and an f constant along each row keeps each
+    row's value through the elevation. An f whose values at the nodes
+    differ by more than the largest float raises ValueError."""
     def build():
         counts, node_map = nodes()
         elevate = counts.min() < counts.max()  # rows of several degrees
         if elevate:
             _check_elevation(int(counts.max()))  # before f is called
         table = _node_values(f, counts, node_map)
-        return _elevate(table[None], counts)[0] if elevate else table
+        c = float(table[0, 0])
+        first = table[:, :1].copy() if elevate else np.full((len(table), 1), c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table -= np.where(np.arange(table.shape[1]) <= counts[:, None], first, 0.0)
+            first -= c
+        if not (np.isfinite(table).all() and np.isfinite(first).all()):
+            raise ValueError("the values of f at the nodes span more than the float range")
+        if elevate:
+            table = _elevate(table[None], counts)[0]
+        table += first
+        return c, table
 
     outer = basis_row(n, s)
-    table = _node_table((f, *key), build)
-    return float(outer @ table @ basis_row(table.shape[1] - 1, t))
+    c, table = _node_table((f, *key), build)
+    return c + float(outer @ table @ basis_row(table.shape[1] - 1, t))
 
 
 def _node_map(dom: CurvilinearDomain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

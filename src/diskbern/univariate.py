@@ -259,10 +259,12 @@ def _degree_rows(n: int, xs: np.ndarray):
         yield np.exp(rows, out=rows)
 
 
-# The largest degree _elevate reaches within the float range: a table of
-# ones, the largest sums any table of |F| <= 1 can have, elevates at 2050 and
-# overflows at 2051.
-_ELEVATE_MAX = 2050
+# The largest degree _elevate reaches within the float range for every
+# table. Each row is divided by the power of two above its largest |F|, so
+# the largest sums are those of a row of values just below that power: a
+# table of 1 - 2^-53 elevates at 2048 and overflows at 2049 (a table of ones,
+# scaled to halves, reaches 2050).
+_ELEVATE_MAX = 2048
 
 
 def _check_elevation(n: int) -> None:

@@ -33,6 +33,23 @@ def test_the_limit_is_checked_without_elevating():
         uv._check_elevation(uv._ELEVATE_MAX + 1)
 
 
+def test_the_largest_sums_elevate_at_the_limit_and_overflow_past_it():
+    """Each row is scaled by the power of two above its largest |F|, so a
+    table of 1 - 2^-53 has the largest sums: at the limit Cbar reads it
+    within tests/test_moments.py's 2e-15 n, and piecewise_stancu_disk, which
+    elevates each row less its first value, to the bit; one degree past it
+    _elevate overflows."""
+    c, n = 1.0 - 2.0**-53, uv._ELEVATE_MAX
+    f = vectorized(lambda x, y: np.full_like(x, c))
+    value = ex.disk_operator("Cbar", n)(f, [(0.3, -0.4)])[0]
+    assert abs(value - c) <= 2e-15 * n
+    assert disk.piecewise_stancu_disk(f, n, 0.3, -0.4) == c
+    degrees = np.arange(n + 1, -1, -1)
+    table = np.where(np.arange(n + 2) <= degrees[:, None], c, 0.0)
+    with pytest.raises(ValueError, match=f"degree {n + 1} is too large"):
+        uv._elevate(table[None], degrees)
+
+
 ELEVATING = {
     "piecewise_stancu_disk": lambda f: disk.piecewise_stancu_disk(f, N, 0.3, -0.4),
     "quadrant_stancu": lambda f: disk.quadrant_stancu(f, Quadrant.B2, N, -0.3, 0.4),

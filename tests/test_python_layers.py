@@ -142,8 +142,9 @@ def test_chord_node_table_matches_loop(n):
 
 def test_scalar_node_table_matches_loop():
     """_scalar_values: f at the nodes of every row, call for call, and the
-    table kept in the memo under (f, *key) is that table elevated to the
-    largest row degree; a repeated key makes no call."""
+    memo keeps under (f, *key) that table's first entry c and the table
+    elevated to the largest row degree less c, each row elevated less its
+    first value; a repeated key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
     loop_calls, expected = [], np.zeros((n + 1, 10))
@@ -152,12 +153,15 @@ def test_scalar_node_table_matches_loop():
         for j in range(nk + 1):
             loop_calls.append((k / n, (j / nk) * (1.0 - k / n)))
             expected[k, j] = f(*loop_calls[-1])
-    elevated = uv._elevate(expected[None], counts)[0]
+    first, c = expected[:, :1], expected[0, 0]
+    live = np.arange(10) <= counts[:, None]
+    elevated = uv._elevate(np.where(live, expected - first, 0.0)[None], counts)[0] + (first - c)
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
         biv._scalar_values(g, ("test", n), n, lambda: (counts, nodes), 0.3, 0.4)
-        assert biv._node_tables[g, "test", n].tobytes() == elevated.tobytes()
+        assert biv._node_tables[g, "test", n][0] == c
+        assert biv._node_tables[g, "test", n][1].tobytes() == elevated.tobytes()
         same_calls(calls, loop_calls)
 
 
@@ -193,15 +197,15 @@ def assert_scalar_rows_match_formula(n, xs):
         np.testing.assert_array_max_ulp(np.array(classical), np.array(row), maxulp=1)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 120, 320])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 120, 320, 1000, 2100])
 def test_basis_rows_interior_matches_formula(n):
     xs = np.random.default_rng(n).random(300)
-    xs[:3] = (1e-300, 0.5, 1.0 - 2.0**-53)
+    xs[:4] = (1e-300, 5e-324, 0.5, 1.0 - 2.0**-53)
     assert basis_rows(n, xs).tobytes() == reference_basis_rows(n, xs).tobytes()
     assert_scalar_rows_match_formula(n, xs)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 120, 320])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 120, 320, 1000])
 def test_basis_rows_with_endpoints_matches_formula(n):
     xs = np.random.default_rng(n + 1).random(200)
     xs[::7] = 0.0

@@ -1,33 +1,14 @@
-"""The two pieces every scalar value is made of, at the degrees of every
-node-table form: univariate.basis_row, bit for bit against the log-space
-formula it was written from (kept here only as the oracle), and
-univariate._elevate of rows of those degrees, against the exact rational
-degree elevation of the same float table.
+"""univariate._elevate of rows of the degrees of every node-table form,
+against the exact rational degree elevation of the same float table.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from diskbern import univariate as uv
-
-
-def log_space_row(m, x):
-    """Every entry of the degree-m row in log space, one exp; one-hot at 0 and 1."""
-    x = uv._check_unit(x)
-    k = np.arange(m + 1)
-    if x == 0.0 or x == 1.0:
-        return (k == (m if x == 1.0 else 0)).astype(float)
-    lf = uv.log_factorials(m)
-    d = m - k
-    logs = lf[m] - lf[k]
-    logs -= lf[d]
-    logs += k * math.log(x)
-    logs += d * math.log1p(-x)
-    return np.exp(logs, out=logs)
 
 
 def degree_sets(n):
@@ -38,19 +19,6 @@ def degree_sets(n):
 
 
 FORMS = ("constant", "n-minus-k", "k", "quadrant")
-_rng = random.Random(28)
-T_VALUES = [0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16] + [_rng.random() for _ in range(2)]
-
-
-@pytest.mark.parametrize("n, form", [(n, form) for n in (0, 1, 2, 5, 40, 120, 200, 320, 1000)
-                                     for form in FORMS
-                                     if n or form == "quadrant"]  # schedules start at n = 1
-                         + [(uv._ELEVATE_MAX + 50, "n-minus-k")])  # past the elevation limit
-def test_basis_row_bit_equal_to_the_log_space_formula(n, form):
-    degrees = degree_sets(n)[form]
-    for m in {int(degrees[0]), int(degrees[-1]), int(degrees[len(degrees) // 2])}:
-        for t in T_VALUES:
-            assert uv.basis_row(m, t).tobytes() == log_space_row(m, t).tobytes()
 
 
 def exact_elevation(row, m, n):

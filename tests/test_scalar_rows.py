@@ -405,6 +405,17 @@ def test_non_finite_f_raises(name, value):
             SCALAR_OPS[name](f, 3)
 
 
+@pytest.mark.parametrize("name", list(SCALAR_OPS))
+def test_f_spanning_more_than_the_float_range_raises(name):
+    """Each table is evaluated less its first entry (and elevated less each
+    row's first value), so values that differ by more than the largest
+    float raise instead of returning inf; every form's table holds nodes
+    with x = 0 and x > 0."""
+    f = lambda x, y: 1.5e308 if x > 0.0 else -1.5e308
+    with pytest.raises(ValueError, match="span more than the float range"):
+        SCALAR_OPS[name](f, 3)
+
+
 def test_non_finite_f_message_names_the_point():
     f = lambda x, y: math.nan if y > 0.5 else 1.0
     # the first node in (k, j) order with y > 0.5 is k = 0, j = 4: 2 * 4/5 - 1
@@ -606,9 +617,8 @@ def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch
     def f_calls(i):
         g, calls = fs[i]
         before = len(calls)
-        # f's own table: the elevation keeps the constant i to a rounding
-        assert abs(disk.quadrant_stancu(g, Quadrant.B1, n, 0.1, 0.1) - i) <= 1e-15 * i
-        assert biv._node_table_bytes == sum(a.nbytes for a in biv._node_tables.values())
+        assert disk.quadrant_stancu(g, Quadrant.B1, n, 0.1, 0.1) == float(i)  # f's own table
+        assert biv._node_table_bytes == sum(table.nbytes for _, table in biv._node_tables.values())
         assert biv._node_table_bytes <= biv._NODE_TABLE_BYTES
         return len(calls) - before
 
@@ -622,7 +632,7 @@ def test_memo_stays_under_its_byte_bound_and_evicts_the_oldest_table(monkeypatch
     assert stored() == [3, 1, 4]
     assert f_calls(0) == 21
     assert stored() == [1, 4, 0]
-    assert all(not a.flags.writeable for a in biv._node_tables.values())
+    assert all(not table.flags.writeable for _, table in biv._node_tables.values())
 
     # a table larger than the bound is used but not stored
     monkeypatch.setattr(biv, "_NODE_TABLE_BYTES", table_bytes - 1)
@@ -654,7 +664,7 @@ def test_threads_reading_the_memo_give_the_serial_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert set(biv._node_tables) == set(stored)
-    assert biv._node_table_bytes == sum(a.nbytes for a in biv._node_tables.values())
+    assert biv._node_table_bytes == sum(table.nbytes for _, table in biv._node_tables.values())
 
 
 def _perfbench_workloads():
@@ -773,3 +783,14 @@ def test_scalar_values_within_1e_13_of_a_40_digit_sum(form, n, monkeypatch):
         value = ORACLE_FORMS[form](ex.builtin(e), n, x, y)
         counts, s, t, table = seen.pop()
         assert abs(value - mp_nested_sum(s, t, counts, table)) <= tol(n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 120])
+@pytest.mark.parametrize("form", list(ORACLE_FORMS))
+def test_every_form_keeps_a_constant_to_the_bit(form, n):
+    """The evaluator elevates each row less its first value and contracts
+    the table less its first entry c, so a constant f gives c at every
+    point, though the basis rows sum to 1 only to a rounding."""
+    for c in (1.0, 0.7, -2.5):
+        values = [ORACLE_FORMS[form](const(c), n, x, y) for x, y in ORACLE_POINTS]
+        assert values == [c] * len(ORACLE_POINTS)
