@@ -37,7 +37,7 @@ def test_the_largest_sums_elevate_at_the_limit_and_overflow_past_it():
     """Each row is scaled by the power of two above its largest |F|, so a
     table of 1 - 2^-53 has the largest sums: at the limit Cbar reads it
     within tests/test_moments.py's 2e-15 n, and piecewise_stancu_disk, which
-    elevates each row less its first value, to the bit; one degree past it
+    elevates the table less its constant, to the bit; one degree past it
     _elevate overflows."""
     c, n = 1.0 - 2.0**-53, uv._ELEVATE_MAX
     f = vectorized(lambda x, y: np.full_like(x, c))

@@ -116,12 +116,13 @@ def test_rmse_cells_row_kernel_reproduces_the_moments(n):
         assert_image(ex.disk_operator("Cbar", n)(f, cell), image(moment, n), n)
 
 
-# The scalar forms: each value is basis_row(n, s) @ C @ basis_row(N, t) for
-# the elevated node table C (bivariate._scalar_values), so the same images
-# check the elevation of the quadrant rows and of the stancu schedules.
-# Measured largest errors: piecewise_stancu_disk 9.8e-14 at n = 200 and
-# 2.6e-12 on the sum of the four at n = 1000; stancu on x^2 + 2 y^2 7.9e-14
-# at n = 200 and 5.9e-13 at n = 1000, with either schedule.
+# The scalar forms: each value is c + basis_row(n, s) @ (C - c) @ basis_row(N, t)
+# for the elevated node table C and the point c of its range nearest 0
+# (bivariate._scalar_values), so the same images check the elevation of the
+# quadrant rows and of the stancu schedules. Measured largest errors:
+# piecewise_stancu_disk 9.8e-14 at n = 200 and 1.9e-12 on the sum of the
+# four at n = 1000; stancu on x^2 + 2 y^2 7.2e-14 at n = 200 and 5.9e-13 at
+# n = 1000, with either schedule.
 
 def scalar_values(op, pts):
     return np.array([op(x, y) for x, y in pts.tolist()])

@@ -142,9 +142,9 @@ def test_chord_node_table_matches_loop(n):
 
 def test_scalar_node_table_matches_loop():
     """_scalar_values: f at the nodes of every row, call for call, and the
-    memo keeps under (f, *key) that table's first entry c and the table
-    elevated to the largest row degree less c, each row elevated less its
-    first value; a repeated key makes no call."""
+    memo keeps under (f, *key) the point c of that table's range nearest 0
+    and the table less c, elevated to the largest row degree; a repeated
+    key makes no call."""
     f, n = ex.builtin(2), 6
     counts = np.array([3, 1, 4, 1, 5, 9, 2])
     loop_calls, expected = [], np.zeros((n + 1, 10))
@@ -153,9 +153,9 @@ def test_scalar_node_table_matches_loop():
         for j in range(nk + 1):
             loop_calls.append((k / n, (j / nk) * (1.0 - k / n)))
             expected[k, j] = f(*loop_calls[-1])
-    first, c = expected[:, :1], expected[0, 0]
     live = np.arange(10) <= counts[:, None]
-    elevated = uv._elevate(np.where(live, expected - first, 0.0)[None], counts)[0] + (first - c)
+    c = min(max(0.0, expected[live].min()), expected[live].max())
+    elevated = uv._elevate(np.where(live, expected - c, 0.0)[None], counts)[0]
     g, calls = recorded(f)
     nodes = lambda k, j, nk: (k / n, (j / nk) * (1.0 - k / n))  # the Duffy simplex nodes
     for _ in range(2):
