@@ -363,10 +363,12 @@ def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
         if elevate:
             _check_elevation(int(counts.max()))  # before f is called
         table = _node_values(f, counts, node_map)
-        live = np.arange(table.shape[1]) <= counts[:, None]
-        values = table[live]
+        # rows of several degrees leave zeros right of column n_k, which are no values of f
+        live = np.arange(table.shape[1]) <= counts[:, None] if elevate else ...
+        values = table[live]  # a view when every entry is live
         c = min(max(0.0, float(values.min())), float(values.max()))
-        table[live] = values - c
+        values -= c
+        table[live] = values
         if elevate:
             table = _elevate(table[None], counts)[0]
         return c, table
