@@ -23,7 +23,8 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .univariate import (_EPS, _GRID, _SLACK, Interval, _check_elevation, _degree, _elevate,
-                         _not_bool, basis_row, bernstein, bernstein_shifted, check_f_values)
+                         _not_bool, basis_row, basis_rows, bernstein, bernstein_shifted,
+                         check_f_values)
 
 __all__ = [
     "vectorized",
@@ -336,17 +337,21 @@ def _node_table(key: tuple[Hashable, ...],
 
 
 def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
-                   nodes: Callable[[], tuple[np.ndarray, Callable]], s: float, t: float) -> float:
-    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t): the one
-    evaluator of the scalar operators. nodes() gives the row degrees n_k
+                   nodes: Callable[[], tuple[np.ndarray, Callable]],
+                   s: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """sum_k p^n_k(s) sum_j p^{n_k}_j(t) F[k, j] at one (s, t), or at each
+    (s[i], t[i]) of two 1-D arrays as an array: the one evaluator of the
+    scalar operators. nodes() gives the row degrees n_k
     and the node map, and F is _node_values(f, n_k, node map). Each row is
     raised to N = max n_k (univariate._elevate; a constant schedule's rows
     are all of degree N already), which makes the value
     c + basis_row(n, s) @ (C - c) @ basis_row(N, t) for the elevated table
-    C and the point c of F's range nearest 0. (c, C - c) is read through
-    _node_table under (f, *key), so nodes is called only when it is built.
-    The outer row comes first, so an s outside [0, 1] raises before f is
-    called, and so does a degree _elevate cannot reach.
+    C and the point c of F's range nearest 0; on arrays, each point's value
+    is the sum of its row of (basis_rows(n, s) @ (C - c)) * basis_rows(N, t),
+    plus c. (c, C - c) is read through _node_table under (f, *key), so nodes
+    is called only when it is built, and one call reads it once for all
+    its points. The outer rows come first, so an s outside [0, 1] raises
+    before f is called, and so does a degree _elevate cannot reach.
 
     Elevation and the contraction are linear and keep constants, so the
     table is elevated and contracted less c: a constant f gives c to the
@@ -373,6 +378,10 @@ def _scalar_values(f: Callable[[float, float], float], key: tuple, n: int,
             table = _elevate(table[None], counts)[0]
         return c, table
 
+    if isinstance(s, np.ndarray):
+        outer = basis_rows(n, s)
+        c, table = _node_table((f, *key), build)
+        return c + ((outer @ table) * basis_rows(table.shape[1] - 1, t)).sum(1)
     outer = basis_row(n, s)
     c, table = _node_table((f, *key), build)
     return c + float(outer @ table @ basis_row(table.shape[1] - 1, t))

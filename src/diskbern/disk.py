@@ -14,7 +14,6 @@ quadrant including the rim and the axes.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import Callable
 
@@ -197,13 +196,18 @@ def _quadrant_nodes(n: int, q: Quadrant) -> Callable:
 
 
 def _quadrant_value(f: Callable[[float, float], float], q: Quadrant, n: int,
-                    x: float, y: float) -> float:
+                    x: float | np.ndarray, y: float | np.ndarray) -> float | np.ndarray:
     """The quadrant closed form of f in q at (x, y): the nested sum at
-    (u, t) = (x^2, y^2/(1 - x^2)) with the n-minus-k schedule. n is checked
-    before the lookup, so n = 3.0 cannot read the table of n = 3."""
+    (u, t) = (x^2, y^2/(1 - x^2)) with the n-minus-k schedule. x and y are
+    floats, or 1-D arrays of points, which _quadrant_coordinates maps and
+    one evaluator call takes at once. n is checked before the lookup, so
+    n = 3.0 cannot read the table of n = 3."""
     n = _degree(n)
-    u = min(x * x, 1.0)
-    t = min(max(y * y / (1.0 - u), 0.0), 1.0) if 1.0 - u > _EPS else 0.0
+    if isinstance(x, np.ndarray):
+        u, t, _ = _quadrant_coordinates(np.column_stack((x, y)))
+    else:
+        u = min(x * x, 1.0)
+        t = min(max(y * y / (1.0 - u), 0.0), 1.0) if 1.0 - u > _EPS else 0.0
     return _scalar_values(f, ("quadrant", n, q), n,
                           lambda: (n - np.arange(n + 1), _quadrant_nodes(n, q)), u, t)
 
@@ -325,17 +329,14 @@ def axis_continuity_check(
     samples = _degree(samples, name="samples")
     if which not in ("stancu", "bernstein-type"):
         raise ValueError(f"unknown construction {which!r}")
-    try:
-        hash(f)
-    except TypeError:  # a proxy keys f's four tables in the memo, so each is sampled once
-        f = functools.partial(f)
-    # Both constructions evaluate the same closed form: each half-axis's two
-    # quadrants at its points.
-    r = np.linspace(0.0, 1.0, samples + 1).tolist()
+    # Both constructions evaluate the same closed form. Each quadrant's table
+    # is read once, by one evaluation at the points of its two half-axes.
+    r = np.linspace(0.0, 1.0, samples + 1)
+    zero = np.zeros_like(r)
+    values = {q: _quadrant_value(f, q, n, np.r_[q.sx * r, zero], np.r_[zero, q.sy * r])
+              .reshape(2, -1) for q in _QUADRANTS}  # rows: q's x half-axis, its y half-axis
     worst = 0.0
     for axis, (qa, qb) in _ADJACENT.items():
-        for v in r:
-            x, y = (qa.sx * v, 0.0) if axis.startswith("x") else (0.0, qa.sy * v)
-            worst = max(worst, abs(_quadrant_value(f, qa, n, x, y)
-                                   - _quadrant_value(f, qb, n, x, y)))
+        i = "xy".index(axis[0])
+        worst = max(worst, float(np.abs(values[qa][i] - values[qb][i]).max()))
     return worst

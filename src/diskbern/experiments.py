@@ -389,7 +389,12 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
     the MeshSpec of an RMSE cell. The kind, every degree, the points
     (_checked_points) and threads are checked before anything else, f
     included, also when ns or pts is empty. The groups are built once per
-    call, and the node tables are sampled here, one degree at a time.
+    call, and the node tables are sampled here: the largest degree's
+    first, which live until that degree, evaluated last, is done; then,
+    one degree at a time, each degree whose nodes are not a sub-grid of
+    the largest's (_shares_nodes). A degree whose nodes are takes a
+    contiguous copy of that sub-grid, so f is not called again at them and
+    no strided table reaches a kernel.
 
     Every value goes through the tensor kernel, with the Cbar and Bbar
     tables elevated to degree n, except Cbar and Bbar on a MeshSpec: an
@@ -406,27 +411,50 @@ def _operator_values(kind: str, f: Callable[[float, float], float], ns: Sequence
         return np.zeros((len(ns), len(pts)))
     if kind == "Bstancu":
         groups = _groups(*_chord_coordinates(pts))
-        values = {n: _tensor_disk_batch(
-            n, _node_values(f, np.full(n + 1, n), _chord_nodes(n))[None], None, groups, len(pts),
-            threads) for n in degrees}
+        sample = lambda n: [_node_values(f, np.full(n + 1, n), _chord_nodes(n))]
     else:
         u, t, quad = _quadrant_coordinates(pts)
         groups = _groups(u, t)
         present = np.bincount(quad, minlength=len(_QUADRANTS)) > 0
-        # one degree's tables live at a time
-        if cell:
-            values = {n: _piecewise_disk_batch(
-                n, [quadrant_node_table(f, n, q) if here else None
-                    for q, here in zip(_QUADRANTS, present)], groups, quad, threads)
-                for n in degrees}
-        else:
-            which = (np.cumsum(present) - 1)[quad]  # each point's table among the present ones
-            values = {n: _tensor_disk_batch(
-                n, _elevate(np.stack([quadrant_node_table(f, n, q)
-                                      for q, here in zip(_QUADRANTS, present) if here]),
-                            n - np.arange(n + 1)),
-                which, groups, len(pts), threads) for n in degrees}
+        # per quadrant, its table, or None where no point lies
+        sample = lambda n: [quadrant_node_table(f, n, q) if here else None
+                            for q, here in zip(_QUADRANTS, present)]
+    top = degrees[-1]
+    largest = sample(top)
+
+    def tables(n: int) -> list[np.ndarray | None]:
+        nonlocal largest
+        if n == top:  # degrees run in ascending order: its kernel gets the only reference
+            taken, largest = largest, None
+            return taken
+        if _shares_nodes(kind, n, top):
+            r = top // n
+            return [None if table is None else table[::r, ::r].copy() for table in largest]
+        return sample(n)
+
+    if kind == "Bstancu":
+        values = {n: _tensor_disk_batch(n, tables(n)[0][None], None, groups, len(pts), threads)
+                  for n in degrees}
+    elif cell:
+        values = {n: _piecewise_disk_batch(n, tables(n), groups, quad, threads) for n in degrees}
+    else:
+        which = (np.cumsum(present) - 1)[quad]  # each point's table among the present ones
+        values = {n: _tensor_disk_batch(
+            n, _elevate(np.stack([table for table in tables(n) if table is not None]),
+                        n - np.arange(n + 1)),
+            which, groups, len(pts), threads) for n in degrees}
     return [values[n] for n in ns]
+
+
+def _shares_nodes(kind: str, n: int, top: int) -> bool:
+    """Whether the degree-n nodes of operator kind are, bit for bit, the
+    sub-grid [::top // n, ::top // n] of the degree-top nodes. A quadrant
+    node sqrt(k/n) is sqrt(rk/rn) for every integer r = top / n, since both
+    quotients round the same real. A chord node also takes
+    sqrt(k(n - k)), and sqrt(r^2 X) rounds to r sqrt(X) for every X only
+    when r is a power of two."""
+    r, rest = divmod(top, n)
+    return rest == 0 and (kind != "Bstancu" or r & (r - 1) == 0)
 
 
 @dataclass(frozen=True)

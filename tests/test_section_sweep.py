@@ -159,8 +159,9 @@ def test_section_holds_the_tables_of_one_degree_at_a_time(monkeypatch):
     monkeypatch.setattr(ex, "quadrant_node_table", counted)
     ex.cross_section("Cbar", ex.builtin(2), [20, 30, 40], CHORDS[0], samples=21)
     assert alive == 0
-    # the two quadrants' tables of 20, then of 30, then of 40
-    assert most == 2 * 41 ** 2
+    # the two quadrants' tables of 40 throughout, and those of 30 while it
+    # is evaluated; 20 copies the sub-grid of 40's
+    assert most == 2 * 41 ** 2 + 2 * 31 ** 2
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, "7", None])
@@ -201,13 +202,15 @@ def test_each_batch_call_samples_its_node_tables_once_and_stores_none(kind):
 
 @pytest.mark.parametrize("kind", ["Cbar", "Bstancu"])
 def test_section_samples_each_distinct_degree_once(kind):
+    """The nodes of 36, those of 25, and for the chord those of 12 (36/12 is
+    no power of two): 9 and, on the quadrants, 12 are sub-grids of 36."""
     f, samples = Recording(ex.builtin(4)), 51
     pts = section_points(CHORDS[2], samples)
-    for n in (10, 40):
+    for n in (36, 25) if kind == "Cbar" else (36, 25, 12):
         ex.disk_operator(kind, n)(f, pts)
-    per_n, f.calls = f.calls, 0
-    ex.cross_section(kind, f, [40, 10, 40], CHORDS[2], samples=samples)
-    assert f.calls == per_n + samples  # the nodes of 10 and 40 once, and the f column
+    sampled, f.calls = f.calls, 0
+    ex.cross_section(kind, f, [36, 12, 9, 36, 25], CHORDS[2], samples=samples)
+    assert f.calls == sampled + samples  # and the f column
     assert not biv._node_tables
 
 
